@@ -2,7 +2,9 @@
 
 Subcommands: count, list, basis, series, decompose, verify, identity.
 Exit codes: 0 success (or verification match), 1 verification mismatch,
-2 argument/validation errors, 3 internal invariant violations.
+2 argument/validation errors (bad flags, specs, grid files or output
+paths), 3 internal errors (invariant violations and any unexpected
+exception).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from pathlib import Path
 
 from .bases import (DecompositionFailureError, Decomposition, decompose,
                     enumerate_basis)
-from .objects import (ClassSpec, KindMismatchError, Overpartition, Partition,
-                      enumerate_members, refined_gf)
+from .objects import (KIND_PARAMS, PARAM_NAMES, ClassSpec, KindMismatchError,
+                      Overpartition, Partition, enumerate_members, refined_gf)
 from .series import Series
 from .theorems import (VerificationReport, basis_driven_gf, check_identity,
                        closed_form_gf, load_grid, verify)
@@ -125,10 +127,8 @@ def _to_csv(payload):
 # ---------------------------------------------------------------------------
 
 def _add_spec_flags(p):
-    p.add_argument("--class", dest="klass",
-                   choices=["P", "Pprime", "R", "Rr", "Fbar", "Lbar",
-                            "Fr", "Lr", "Gset"])
-    for flag in ("a", "b", "c", "k", "r", "d", "h", "s"):
+    p.add_argument("--class", dest="klass", choices=list(KIND_PARAMS))
+    for flag in PARAM_NAMES:
         p.add_argument(f"--{flag}", type=int)
 
 
@@ -193,10 +193,8 @@ def build_parser():
     _add_common_flags(p)
     p.add_argument("--id", dest="identity_id", required=True)
     p.add_argument("--trunc", type=int, required=True)
-    for flag in ("a", "b", "c", "k", "r", "d", "h", "s"):
+    for flag in (*PARAM_NAMES, "A", "B"):
         p.add_argument(f"--{flag}", type=int)
-    p.add_argument("--A", type=int)
-    p.add_argument("--B", type=int)
 
     return parser
 
@@ -205,7 +203,7 @@ def _spec_from_args(args):
     if not args.klass:
         raise CliError("--class is required")
     kwargs = {}
-    for flag in ("a", "b", "c", "k", "r", "d", "h", "s"):
+    for flag in PARAM_NAMES:
         value = getattr(args, flag, None)
         if value is not None:
             kwargs[flag] = value
@@ -326,7 +324,10 @@ def _cmd_verify(args, out):
         _check_trunc(args, trunc)
         jobs = [(spec, trunc)]
     else:
-        trunc, specs = load_grid(args.grid)
+        try:
+            trunc, specs = load_grid(args.grid)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise CliError(f"cannot load grid {args.grid}: {exc!r}") from exc
         if args.trunc is not None:
             trunc = args.trunc
         _check_trunc(args, trunc)
@@ -347,7 +348,7 @@ def _cmd_verify(args, out):
 def _cmd_identity(args, out):
     _check_trunc(args, args.trunc)
     params = {}
-    for flag in ("a", "b", "c", "k", "r", "d", "h", "s", "A", "B"):
+    for flag in (*PARAM_NAMES, "A", "B"):
         value = getattr(args, flag, None)
         if value is not None:
             params[flag] = value
@@ -380,18 +381,21 @@ def run(argv):
         return (0 if exc.code == 0 else 2), out.getvalue(), err.getvalue()
     try:
         code = _DISPATCH[args.subcommand](args, out)
-    except CliError as exc:
-        err.write(f"error: {exc}\n".encode())
-        return 2, out.getvalue(), err.getvalue()
-    except (ValueError, KindMismatchError) as exc:
+        if args.out:
+            try:
+                args.out.write_bytes(out.getvalue())
+            except OSError as exc:
+                raise CliError(f"cannot write {args.out}: {exc}") from exc
+            out = io.BytesIO()
+    except (CliError, ValueError, KindMismatchError) as exc:
         err.write(f"error: {exc}\n".encode())
         return 2, out.getvalue(), err.getvalue()
     except DecompositionFailureError as exc:
         err.write(f"internal invariant violation: {exc}\n".encode())
         return 3, out.getvalue(), err.getvalue()
-    if args.out:
-        args.out.write_bytes(out.getvalue())
-        out = io.BytesIO()
+    except Exception as exc:
+        err.write(f"internal error: {exc!r}\n".encode())
+        return 3, out.getvalue(), err.getvalue()
     return code, out.getvalue(), err.getvalue()
 
 

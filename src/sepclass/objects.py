@@ -23,6 +23,15 @@ LAST = "last"
 PARTITION_KINDS = ("P", "Pprime", "R", "Rr", "Gset")
 OVERPARTITION_KINDS = ("Fbar", "Lbar", "Fr", "Lr")
 
+PARAM_NAMES = ("a", "b", "c", "k", "r", "d", "h", "s")
+# the parameters each kind takes; all of them are required, no other is
+KIND_PARAMS = {
+    "P": ("a", "b", "k", "r"), "Pprime": ("a", "b", "k", "r"),
+    "R": ("a", "b", "c", "k"), "Rr": ("a", "b", "c", "k", "r"),
+    "Fbar": (), "Lbar": (), "Fr": ("r",), "Lr": ("r",),
+    "Gset": ("d", "k", "r", "h", "s"),
+}
+
 
 class KindMismatchError(TypeError):
     """Object kind (partition vs overpartition/convention) does not match
@@ -154,38 +163,28 @@ class ClassSpec:
 
     def __post_init__(self):
         kind = self.kind
-        if kind in ("P", "Pprime"):
-            a, b, k, r = self.a, self.b, self.k, self.r
-            if None in (a, b, k, r):
-                raise ValueError(f"{kind} requires a, b, k, r")
-            if not (k >= b > a >= 1):
-                raise ValueError(f"{kind} requires k >= b > a >= 1")
-            if r < 1:
-                raise ValueError("r must be >= 1")
-        elif kind in ("R", "Rr"):
-            a, b, c, k = self.a, self.b, self.c, self.k
-            if None in (a, b, c, k):
-                raise ValueError(f"{kind} requires a, b, c, k")
-            if not (k >= c > b > a >= 1):
-                raise ValueError(f"{kind} requires k >= c > b > a >= 1")
-            if kind == "Rr":
-                if self.r is None or self.r < 1:
-                    raise ValueError("Rr requires r >= 1")
-        elif kind in ("Fbar", "Lbar"):
-            pass
-        elif kind in ("Fr", "Lr"):
-            if self.r is None or self.r < 1:
-                raise ValueError(f"{kind} requires r >= 1")
-        elif kind == "Gset":
-            d, k, r, h, s = self.d, self.k, self.r, self.h, self.s
-            if None in (d, k, r, h, s):
-                raise ValueError("Gset requires d, k, r, h, s")
-            if not (k >= d >= 1):
-                raise ValueError("Gset requires k >= d >= 1")
-            if r < 1 or s < 1 or h < 0:
-                raise ValueError("Gset requires r >= 1, s >= 1, h >= 0")
-        else:
+        if kind not in KIND_PARAMS:
             raise ValueError(f"unknown class kind {kind!r}")
+        names = KIND_PARAMS[kind]
+        stray = [n for n in PARAM_NAMES
+                 if n not in names and getattr(self, n) is not None]
+        if stray:
+            raise ValueError(f"{kind} takes no parameter {', '.join(stray)}")
+        if any(getattr(self, n) is None for n in names):
+            raise ValueError(f"{kind} requires {', '.join(names)}")
+        if "r" in names and self.r < 1:
+            raise ValueError(f"{kind} requires r >= 1")
+        if kind in ("P", "Pprime"):
+            if not (self.k >= self.b > self.a >= 1):
+                raise ValueError(f"{kind} requires k >= b > a >= 1")
+        elif kind in ("R", "Rr"):
+            if not (self.k >= self.c > self.b > self.a >= 1):
+                raise ValueError(f"{kind} requires k >= c > b > a >= 1")
+        elif kind == "Gset":
+            if not (self.k >= self.d >= 1):
+                raise ValueError("Gset requires k >= d >= 1")
+            if self.s < 1 or self.h < 0:
+                raise ValueError("Gset requires s >= 1, h >= 0")
 
     # -- derived attributes --------------------------------------------------
 
@@ -232,7 +231,7 @@ class ClassSpec:
 
     def to_json_dict(self):
         out = {"class": self.kind}
-        for name in ("a", "b", "c", "k", "r", "d", "h", "s"):
+        for name in PARAM_NAMES:
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
@@ -247,7 +246,7 @@ class ClassSpec:
     def label(self):
         """Short stable identifier, used for golden-file paths."""
         bits = [self.kind]
-        for name in ("a", "b", "c", "k", "r", "d", "h", "s"):
+        for name in PARAM_NAMES:
             value = getattr(self, name)
             if value is not None:
                 bits.append(f"{name}{value}")

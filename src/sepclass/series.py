@@ -275,35 +275,57 @@ def _poly_mul(d1, d2, trunc):
     return out
 
 
+# (A, B, k, trunc) -> [A, B]_k, for one truncation order at a time
 _gauss_cache = {}
 
 
 def _gauss_terms(A, B, k, trunc):
-    """Gaussian polynomial [A, B]_k as a dict, via the Pascal recurrence."""
+    """Gaussian polynomial [A, B]_k as a dict, via the Pascal recurrence
+    [a, b] = [a-1, b] + q^{k(a-b)} [a-1, b-1].
+
+    The cells are filled from an explicit stack in the order a recursion
+    would visit them, so A is not limited by the interpreter's recursion
+    depth.  A call with a new truncation order empties the cache first.
+    """
     if A < 0 or B < 0 or B > A:
         return {}
     if B == 0 or B == A:
         return {0: 1}
-    key = (A, B, k, trunc)
-    cached = _gauss_cache.get(key)
-    if cached is not None:
-        return cached
-    left = _gauss_terms(A - 1, B, k, trunc)
-    right = _gauss_terms(A - 1, B - 1, k, trunc)
-    shift = k * (A - B)
-    out = dict(left)
-    if shift <= trunc:
-        for e, c in right.items():
-            e2 = e + shift
-            if e2 > trunc:
-                continue
-            total = out.get(e2, 0) + c
-            if total:
-                out[e2] = total
-            else:
-                out.pop(e2, None)
-    _gauss_cache[key] = out
-    return out
+    cache = _gauss_cache
+    if cache and next(iter(cache))[3] != trunc:
+        cache.clear()
+    elif (A, B, k, trunc) in cache:
+        return cache[(A, B, k, trunc)]
+    stack = [(A, B)]
+    while stack:
+        a, b = stack[-1]
+        if (a, b, k, trunc) in cache:
+            stack.pop()
+            continue
+        # both neighbours satisfy 0 <= b' <= a-1; the edges are 1
+        left = {0: 1} if b == a - 1 else cache.get((a - 1, b, k, trunc))
+        right = {0: 1} if b == 1 else cache.get((a - 1, b - 1, k, trunc))
+        if left is None or right is None:
+            if left is None:
+                stack.append((a - 1, b))
+            if right is None:
+                stack.append((a - 1, b - 1))
+            continue
+        stack.pop()
+        shift = k * (a - b)
+        out = dict(left)
+        if shift <= trunc:
+            for e, c in right.items():
+                e2 = e + shift
+                if e2 > trunc:
+                    continue
+                total = out.get(e2, 0) + c
+                if total:
+                    out[e2] = total
+                else:
+                    out.pop(e2, None)
+        cache[(a, b, k, trunc)] = out
+    return cache[(A, B, k, trunc)]
 
 
 def _wrap_poly(d, trunc, markers, caps=None):

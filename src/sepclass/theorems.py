@@ -1,18 +1,22 @@
 """Closed-form generating functions, basis-driven assembly, identity checks,
 and three-route coefficient-by-coefficient verification.
 
-Every class admits three independent series routes:
+Every class admits three series routes:
   oracle  - brute-force enumeration of members,
-  basis   - basis polynomials fed through the separability machinery,
-  closed  - the closed-form multi-sum evaluated with exact series arithmetic.
-``verify`` compares all three term-by-term.
+  basis   - the enumerated m-part basis polynomials B_m fed through the
+            separability assembly 1 + sum_m B_m / (q^k; q^k)_m,
+  closed  - the lemma-level closed forms of B_m (``basis_closed_form``)
+            fed through that same assembly.
+The basis and closed routes share the assembly; only B_m differs, and the
+lemma multi-sums that give it in the closed route share no code with the
+basis enumeration.  ``verify`` compares all three term by term.
 
 Erratum: the printed closed form for the last-occurrence bounded-run class
 carries a stray q^m factor on its overlined terms (the prefactor q^m is
 already outside the braces).  The default evaluation follows the
 proof-level per-(m, s) formula, which the oracle confirms; the literal
-printed form is kept available as theorem id ``"Lr-literal"`` and is
-expected to mismatch.
+printed form stays available as the ``closed_form_gf`` theorem id
+``"Lr-literal"`` and is expected to mismatch.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 from .bases import basis_gf
@@ -80,232 +85,52 @@ def compare_routes(named_series, subject, trunc, started=None):
 
 
 # ---------------------------------------------------------------------------
-# closed forms (theorem level)
+# separability assembly
 # ---------------------------------------------------------------------------
 
-def _inverse_pochhammer(series, k, m):
-    """Apply the factor 1/(q^k; q^k)_m."""
-    for i in range(1, m + 1):
-        if k * i > series.trunc:
-            break
-        series = series.div_one_minus(k * i)
-    return series
+def _assemble(poly, spec, trunc):
+    """1 + sum over m of poly(spec, m, trunc) / (q^k; q^k)_m, k the modulus.
+
+    Horner-nested, (B_1 + (B_2 + (B_3 + ...)/(1-q^{3k}))/(1-q^{2k}))/(1-q^k),
+    so each m costs one division.  The m loop starts at the largest m whose
+    minimal basis weight fits under the truncation order (every part of a
+    basis element is at least the least admissible bottom value).
+    """
+    k = spec.modulus
+    min_part = 1 if spec.is_overpartition_class else spec.a
+    acc = Series.zero(trunc, spec.markers)
+    for m in range(trunc // min_part, 0, -1):
+        acc = acc + poly(spec, m, trunc)
+        if k * m <= trunc:
+            acc = acc.div_one_minus(k * m)
+    return Series.one(trunc, spec.markers) + acc
+
+
+def basis_driven_gf(spec, trunc):
+    """The basis route: the enumerated m-part basis polynomials
+    (``basis_gf``) through the separability assembly."""
+    return _assemble(basis_gf, spec, trunc)
 
 
 def closed_form_gf(spec, trunc, theorem_id=None):
-    """The displayed closed-form series for the class, exactly truncated.
+    """The closed route: the lemma-level basis polynomials
+    (``basis_closed_form``) through the separability assembly.
 
     ``theorem_id`` defaults to the class kind; pass ``"Lr-literal"`` to
     evaluate the printed (uncorrected) last-occurrence bounded-run form.
     """
     if theorem_id is None:
         theorem_id = spec.kind
-    dispatch = {
-        "P": _closed_p, "Pprime": _closed_pprime,
-        "R": _closed_r, "Rr": _closed_rr,
-        "Fbar": _closed_fbar, "Lbar": _closed_lbar,
-        "Fr": _closed_fr,
-        "Lr": lambda s, n: _closed_lr(s, n, literal=False),
-        "Lr-literal": lambda s, n: _closed_lr(s, n, literal=True),
-    }
-    if theorem_id not in dispatch:
+    if theorem_id not in _THEOREMS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    base = theorem_id.split("-")[0]
-    if base != spec.kind:
+    if theorem_id.split("-")[0] != spec.kind:
         raise ValueError(f"theorem {theorem_id!r} does not apply to "
                          f"{spec.kind}")
-    return dispatch[theorem_id](spec, trunc)
-
-
-def _closed_p(spec, trunc):
-    a, b, k, r = spec.a, spec.b, spec.k, spec.r
-    markers = spec.markers
-    total = Series.one(trunc, markers)
-    m = 1
-    while m * a <= trunc:
-        inner = monomial(m * a, (m, 0), 1, trunc, markers)
-        for s in range(1, m + 1):
-            for h in range((r - 1) * s + 1):
-                if m - h - s + 1 < s:
-                    break
-                e = (m - h - s) * a + (h + s) * b + k * (s * s - s)
-                if e > trunc:
-                    break
-                gauss = gaussian(m - h - s + 1, s, k, trunc, markers)
-                g = g_poly(k, r, h, s, trunc, markers)
-                if gauss.is_zero() or g.is_zero():
-                    continue
-                mono = monomial(e, (m - h - s, h + s), 1, trunc, markers)
-                inner = inner + mono * gauss * g
-        total = total + _inverse_pochhammer(inner, k, m)
-        m += 1
-    return total
-
-
-def _closed_pprime(spec, trunc):
-    a, b, k, r = spec.a, spec.b, spec.k, spec.r
-    markers = spec.markers
-    total = Series.one(trunc, markers)
-    m = 1
-    while m * a <= trunc:
-        inner = monomial(m * b, (0, m), 1, trunc, markers) \
-            if m * b <= trunc else Series.zero(trunc, markers)
-        for s in range(1, m + 1):
-            for h in range((r - 1) * s + 1):
-                if m - h - s < s - 1:
-                    break
-                e = (h + s) * a + (m - h - s) * b + k * (s - 1) ** 2
-                if e > trunc:
-                    continue
-                g = g_poly(k, r, h, s, trunc, markers)
-                if g.is_zero():
-                    continue
-                bracket = gaussian(m - h - s, s - 1, k, trunc, markers)
-                extra = k * (h + 2 * s - 1)
-                if extra <= trunc:
-                    bracket = bracket + \
-                        monomial(extra, (0,) * len(markers), 1, trunc,
-                                 markers) * \
-                        gaussian(m - h - s, s, k, trunc, markers)
-                if bracket.is_zero():
-                    continue
-                mono = monomial(e, (h + s, m - h - s), 1, trunc, markers)
-                inner = inner + mono * bracket * g
-        total = total + _inverse_pochhammer(inner, k, m)
-        m += 1
-    return total
-
-
-def _closed_r(spec, trunc):
-    a, b, c, k = spec.a, spec.b, spec.c, spec.k
-    markers = spec.markers
-    total = Series.one(trunc, markers)
-    m = 1
-    while m * a <= trunc:
-        inner = Series.zero(trunc, markers)
-        for s in range(m + 1):
-            for h in range(m - s + 1):
-                e = (m - h - s) * a + h * b + s * c + k * (s * s - s) // 2
-                if e > trunc:
-                    break
-                left = gaussian(h + s, s, k, trunc, markers)
-                right = gaussian(m - h, s, k, trunc, markers)
-                if left.is_zero() or right.is_zero():
-                    continue
-                mono = monomial(e, (m - h - s, h, s), 1, trunc, markers)
-                inner = inner + mono * left * right
-        total = total + _inverse_pochhammer(inner, k, m)
-        m += 1
-    return total
-
-
-def _closed_rr(spec, trunc):
-    a, b, c, k, r = spec.a, spec.b, spec.c, spec.k, spec.r
-    markers = spec.markers
-    total = Series.one(trunc, markers)
-    m = 1
-    while m * a <= trunc:
-        inner = Series.zero(trunc, markers)
-        for s in range(m + 1):
-            for h in range(m - s + 1):
-                e = (m - h - s) * a + h * b + s * c + k * (s * s - s) // 2
-                if e > trunc:
-                    break
-                right = gaussian(m - h, s, k, trunc, markers)
-                g = g_poly(k, r, h, s + 1, trunc, markers)
-                if right.is_zero() or g.is_zero():
-                    continue
-                mono = monomial(e, (m - h - s, h, s), 1, trunc, markers)
-                inner = inner + mono * right * g
-        total = total + _inverse_pochhammer(inner, k, m)
-        m += 1
-    return total
-
-
-def _closed_fbar(spec, trunc):
-    markers = spec.markers
-    total = Series.one(trunc, markers)
-    for m in range(1, trunc + 1):
-        inner = Series.zero(trunc, markers)
-        for s in range(m + 1):
-            e = m + s * s - s
-            if e > trunc or m - s + 1 < s:
-                break
-            gauss = gaussian(m - s + 1, s, 1, trunc, markers)
-            inner = inner + monomial(e, (s,), 1, trunc, markers) * gauss
-        total = total + _inverse_pochhammer(inner, 1, m)
-    return total
-
-
-def _closed_lbar(spec, trunc):
-    markers = spec.markers
-    total = Series.one(trunc, markers)
-    for m in range(1, trunc + 1):
-        inner = Series.zero(trunc, markers)
-        for s in range(m + 1):
-            # the two bracket terms carry exponents m+(s-1)^2 and m+s^2
-            e1 = m + (s - 1) ** 2
-            e2 = m + s * s
-            if e1 <= trunc:
-                inner = inner + monomial(e1, (s,), 1, trunc, markers) * \
-                    gaussian(m - s, s - 1, 1, trunc, markers)
-            if e2 <= trunc:
-                inner = inner + monomial(e2, (s,), 1, trunc, markers) * \
-                    gaussian(m - s, s, 1, trunc, markers)
-            if min(e1, e2) > trunc:
-                break
-        total = total + _inverse_pochhammer(inner, 1, m)
-    return total
-
-
-def _closed_fr(spec, trunc):
-    r = spec.r
-    markers = spec.markers
-    total = Series.one(trunc, markers)
-    for m in range(1, trunc + 1):
-        inner = Series.zero(trunc, markers)
-        for s in range(m + 1):
-            e = m + (s * s - s) // 2
-            if e > trunc:
-                break
-            g = g_poly(1, r, m - s, s + 1, trunc, markers)
-            if g.is_zero():
-                continue
-            inner = inner + monomial(e, (s,), 1, trunc, markers) * g
-        total = total + _inverse_pochhammer(inner, 1, m)
-    return total
-
-
-def _closed_lr(spec, trunc, literal=False):
-    r = spec.r
-    markers = spec.markers
-    total = Series.one(trunc, markers)
-    for m in range(1, trunc + 1):
-        inner = Series.zero(trunc, markers)
-        if m <= r - 1 and m <= trunc:
-            inner = inner + monomial(m, (0,), 1, trunc, markers)
-        extra = m if literal else 0
-        for s in range(1, m + 1):
-            e = m + (s * s - s) // 2 + extra
-            if e > trunc:
-                break
-            g = g_poly(1, r, m - s, s, trunc, markers)
-            if not g.is_zero():
-                inner = inner + monomial(e, (s,), 1, trunc, markers) * g
-            for j in range(1, r):
-                ej = 2 * m - j + (s * s - s) // 2 + extra
-                if ej > trunc:
-                    continue
-                gj = g_poly(1, r, m - j - s, s, trunc, markers)
-                if gj.is_zero():
-                    continue
-                inner = inner + monomial(ej, (s,), 1, trunc, markers) * gj
-        total = total + _inverse_pochhammer(inner, 1, m)
-    return total
+    return _assemble(_THEOREMS[theorem_id], spec, trunc)
 
 
 # ---------------------------------------------------------------------------
-# closed forms (basis / lemma level)
+# basis polynomials (lemma level)
 # ---------------------------------------------------------------------------
 
 def basis_closed_form(formula_id, spec, m, trunc, s=None):
@@ -318,155 +143,71 @@ def basis_closed_form(formula_id, spec, m, trunc, s=None):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    partition_ids = {
-        "bp-total": ("P", _bp_total),
-        "bp-smallest-a": ("P", _bp_smallest_a),
-        "bp-smallest-b": ("P", _bp_smallest_b),
-        "bpp-total": ("Pprime", _bpp_total),
-        "bpp-smallest-a": ("Pprime", _bpp_smallest_a),
-        "bpp-smallest-b": ("Pprime", _bpp_smallest_b),
-        "br-total": ("R", _br_total),
-        "brr-total": ("Rr", _brr_total),
-    }
-    over_ids = {
-        "bf-over": ("Fbar", _bf_over_ms),
-        "bf-run": ("Fr", _bf_run_ms),
-        "bl-over": ("Lbar", _bl_over_ms),
-        "bl-run": ("Lr", _bl_run_ms),
-    }
-    if formula_id in partition_ids:
-        kind, fn = partition_ids[formula_id]
-        if spec.kind != kind:
-            raise ValueError(f"{formula_id} applies to {kind}, not "
-                             f"{spec.kind}")
+    if formula_id not in _FORMULAS:
+        raise ValueError(f"unknown basis formula id {formula_id!r}")
+    kind, fn = _FORMULAS[formula_id]
+    if spec.kind != kind:
+        raise ValueError(f"{formula_id} applies to {kind}, not {spec.kind}")
+    if not spec.is_overpartition_class:
         if s is not None:
             raise ValueError(f"{formula_id} has no per-s slice")
         return fn(spec, m, trunc)
-    if formula_id in over_ids:
-        kind, fn = over_ids[formula_id]
-        if spec.kind != kind:
-            raise ValueError(f"{formula_id} applies to {kind}, not "
-                             f"{spec.kind}")
-        if s is not None:
-            return fn(spec, m, s, trunc)
-        total = Series.zero(trunc, spec.markers)
-        for si in range(m + 1):
-            total = total + fn(spec, m, si, trunc)
-        return total
-    raise ValueError(f"unknown basis formula id {formula_id!r}")
+    if s is not None:
+        return fn(spec, m, s, trunc)
+    return _over_total(fn, spec, m, trunc)
 
 
-def _bp_sum(spec, m, trunc, tail_shift):
-    """Shared double sum for the smallest-part slices of the P basis.
-
-    The b-slice (tail_shift=True) drops the Gaussian column by one and adds
-    the extra k(m-h-2s+1) exponent."""
-    a, b, k, r = spec.a, spec.b, spec.k, spec.r
-    markers = spec.markers
-    total = Series.zero(trunc, markers)
-    for s in range(1, m + 1):
-        for h in range((r - 1) * s + 1):
-            if m - h - s < 0:
-                break
-            e = (m - h - s) * a + (h + s) * b + k * (s * s - s)
-            if tail_shift:
-                e += k * (m - h - 2 * s + 1)
-            if e > trunc or e < 0:
-                continue
-            gauss = gaussian(m - h - s, s - 1 if tail_shift else s,
-                             k, trunc, markers)
-            g = g_poly(spec.k, r, h, s, trunc, markers)
-            if gauss.is_zero() or g.is_zero():
-                continue
-            total = total + \
-                monomial(e, (m - h - s, h + s), 1, trunc, markers) * \
-                gauss * g
+def _over_total(fn, spec, m, trunc):
+    """Sum a per-(m, s) overpartition slice over the overline count s."""
+    total = Series.zero(trunc, spec.markers)
+    for s in range(m + 1):
+        # no slice has a term below q^(m + (s^2-s)/2)
+        if m + (s * s - s) // 2 > trunc:
+            break
+        total = total + fn(spec, m, s, trunc)
     return total
 
 
-def _bp_smallest_a(spec, m, trunc):
-    out = _bp_sum(spec, m, trunc, False)
-    if m * spec.a <= trunc:
-        out = out + monomial(m * spec.a, (m, 0), 1, trunc, spec.markers)
-    return out
+def _p_basis(spec, m, trunc, slices):
+    """Basis polynomial of P or Pprime as a sum of slices.
 
-
-def _bp_smallest_b(spec, m, trunc):
-    return _bp_sum(spec, m, trunc, True)
-
-
-def _bp_total(spec, m, trunc):
-    a, b, k, r = spec.a, spec.b, spec.k, spec.r
-    markers = spec.markers
+    A slice (row, col, cx, cy, cs) is the double sum over s >= 0 and
+    0 <= h <= (r-1)s of q^e [x+row, s+col]_{q^k} G_{k,r}(h, s) times the
+    marker monomial, with G(0, 0) = 1.  Here x = m-h-s parts lie in the
+    free residue class and y = h+s in the run-bounded one (b for P, a for
+    Pprime, where the roles of a and b and of the two markers swap), and
+    e = x*lo + y*hi + k(s^2 - s + cx*x + cy*y + cs*(s-1)).
+    """
+    k, r, markers = spec.k, spec.r, spec.markers
+    lo, hi = (spec.a, spec.b) if spec.kind == "P" else (spec.b, spec.a)
     total = Series.zero(trunc, markers)
-    if m * a <= trunc:
-        total = total + monomial(m * a, (m, 0), 1, trunc, markers)
-    for s in range(1, m + 1):
-        for h in range((r - 1) * s + 1):
-            if m - h - s + 1 < s:
+    for row, col, cx, cy, cs in slices:
+        for s in range(m + 1):
+            # every exponent of this s is at least k(s-1)^2
+            if s and k * (s - 1) ** 2 > trunc:
                 break
-            e = (m - h - s) * a + (h + s) * b + k * (s * s - s)
-            if e > trunc:
-                break
-            gauss = gaussian(m - h - s + 1, s, k, trunc, markers)
-            g = g_poly(k, r, h, s, trunc, markers)
-            if gauss.is_zero() or g.is_zero():
-                continue
-            total = total + \
-                monomial(e, (m - h - s, h + s), 1, trunc, markers) * \
-                gauss * g
+            for h in range((r - 1) * s + 1):
+                x, y = m - h - s, h + s
+                if x < 0 or x + row < s + col:
+                    break
+                e = x * lo + y * hi + \
+                    k * (s * s - s + cx * x + cy * y + cs * (s - 1))
+                if e > trunc:
+                    continue
+                gauss = gaussian(x + row, s + col, k, trunc, markers)
+                g = g_poly(k, r, h, s, trunc, markers) if s else \
+                    Series.one(trunc, markers)
+                if gauss.is_zero() or g.is_zero():
+                    continue
+                marks = (x, y) if spec.kind == "P" else (y, x)
+                total = total + \
+                    monomial(e, marks, 1, trunc, markers) * gauss * g
     return total
-
-
-def _bpp_smallest_a(spec, m, trunc):
-    a, b, k, r = spec.a, spec.b, spec.k, spec.r
-    markers = spec.markers
-    total = Series.zero(trunc, markers)
-    for s in range(1, m + 1):
-        for h in range((r - 1) * s + 1):
-            if m - h - s < s - 1:
-                break
-            e = (h + s) * a + (m - h - s) * b + k * (s - 1) ** 2
-            if e > trunc:
-                continue
-            gauss = gaussian(m - h - s, s - 1, k, trunc, markers)
-            g = g_poly(k, r, h, s, trunc, markers)
-            if gauss.is_zero() or g.is_zero():
-                continue
-            total = total + \
-                monomial(e, (h + s, m - h - s), 1, trunc, markers) * \
-                gauss * g
-    return total
-
-
-def _bpp_smallest_b(spec, m, trunc):
-    a, b, k, r = spec.a, spec.b, spec.k, spec.r
-    markers = spec.markers
-    total = Series.zero(trunc, markers)
-    if m * b <= trunc:
-        total = total + monomial(m * b, (0, m), 1, trunc, markers)
-    for s in range(1, m + 1):
-        for h in range((r - 1) * s + 1):
-            if m - h - s < s:
-                break
-            e = (h + s) * a + (m - h - s) * b + k * s * s + k * h
-            if e > trunc:
-                continue
-            gauss = gaussian(m - h - s, s, k, trunc, markers)
-            g = g_poly(k, r, h, s, trunc, markers)
-            if gauss.is_zero() or g.is_zero():
-                continue
-            total = total + \
-                monomial(e, (h + s, m - h - s), 1, trunc, markers) * \
-                gauss * g
-    return total
-
-
-def _bpp_total(spec, m, trunc):
-    return _bpp_smallest_a(spec, m, trunc) + _bpp_smallest_b(spec, m, trunc)
 
 
 def _br_total(spec, m, trunc):
+    """Basis polynomial of R and Rr: the double sum over s, h of
+    q^e [m-h, s]_{q^k} times [h+s, s]_{q^k} (R) or G_{k,r}(h, s+1) (Rr)."""
     a, b, c, k = spec.a, spec.b, spec.c, spec.k
     markers = spec.markers
     total = Series.zero(trunc, markers)
@@ -475,32 +216,14 @@ def _br_total(spec, m, trunc):
             e = (m - h - s) * a + h * b + s * c + k * (s * s - s) // 2
             if e > trunc:
                 break
-            left = gaussian(h + s, s, k, trunc, markers)
             right = gaussian(m - h, s, k, trunc, markers)
+            left = gaussian(h + s, s, k, trunc, markers) if spec.kind == "R" \
+                else g_poly(k, spec.r, h, s + 1, trunc, markers)
             if left.is_zero() or right.is_zero():
                 continue
             total = total + \
                 monomial(e, (m - h - s, h, s), 1, trunc, markers) * \
                 left * right
-    return total
-
-
-def _brr_total(spec, m, trunc):
-    a, b, c, k, r = spec.a, spec.b, spec.c, spec.k, spec.r
-    markers = spec.markers
-    total = Series.zero(trunc, markers)
-    for s in range(m + 1):
-        for h in range(m - s + 1):
-            e = (m - h - s) * a + h * b + s * c + k * (s * s - s) // 2
-            if e > trunc:
-                break
-            right = gaussian(m - h, s, k, trunc, markers)
-            g = g_poly(k, r, h, s + 1, trunc, markers)
-            if right.is_zero() or g.is_zero():
-                continue
-            total = total + \
-                monomial(e, (m - h - s, h, s), 1, trunc, markers) * \
-                right * g
     return total
 
 
@@ -525,66 +248,69 @@ def _bf_run_ms(spec, m, s, trunc):
 def _bl_over_ms(spec, m, s, trunc):
     markers = spec.markers
     total = Series.zero(trunc, markers)
-    if s == 0:
-        if m <= trunc:
-            total = total + monomial(m, (0,), 1, trunc, markers)
-        return total
-    e1 = m + (s - 1) ** 2
-    e2 = m + s * s
-    if e1 <= trunc:
-        total = total + monomial(e1, (s,), 1, trunc, markers) * \
-            gaussian(m - s, s - 1, 1, trunc, markers)
-    if e2 <= trunc:
-        total = total + monomial(e2, (s,), 1, trunc, markers) * \
-            gaussian(m - s, s, 1, trunc, markers)
+    for e, col in ((m + (s - 1) ** 2, s - 1), (m + s * s, s)):
+        if e <= trunc:
+            total = total + monomial(e, (s,), 1, trunc, markers) * \
+                gaussian(m - s, col, 1, trunc, markers)
     return total
 
 
-def _bl_run_ms(spec, m, s, trunc):
-    r = spec.r
-    markers = spec.markers
+def _bl_run_ms(spec, m, s, trunc, literal=False):
+    """``literal`` adds the printed form's stray q^m to the overlined
+    terms (see the erratum in the module docstring)."""
+    r, markers = spec.r, spec.markers
     total = Series.zero(trunc, markers)
     if s == 0:
         if m <= r - 1 and m <= trunc:
             total = total + monomial(m, (0,), 1, trunc, markers)
         return total
-    e = m + (s * s - s) // 2
-    if e <= trunc:
-        g = g_poly(1, r, m - s, s, trunc, markers)
+    extra = (s * s - s) // 2 + (m if literal else 0)
+    # (exponent, h) of the j = 0 term, then of j = 1 .. r-1 (zero for h < 0)
+    terms = [(m + extra, m - s)] + \
+        [(2 * m - j + extra, m - j - s) for j in range(1, min(r, m - s + 1))]
+    for e, h in terms:
+        if e > trunc:
+            continue
+        g = g_poly(1, r, h, s, trunc, markers)
         if not g.is_zero():
             total = total + monomial(e, (s,), 1, trunc, markers) * g
-    for j in range(1, r):
-        ej = 2 * m - j + (s * s - s) // 2
-        if ej > trunc:
-            continue
-        gj = g_poly(1, r, m - j - s, s, trunc, markers)
-        if gj.is_zero():
-            continue
-        total = total + monomial(ej, (s,), 1, trunc, markers) * gj
     return total
 
 
-# ---------------------------------------------------------------------------
-# basis-driven assembly
-# ---------------------------------------------------------------------------
+# (row, col, cx, cy, cs) slices of _p_basis; the smallest part of the
+# P basis is a in _BP_A and b in _BP_B, whose sum is the single slice of
+# bp-total by the q-Pascal rule
+_BP_A = (0, 0, 0, 0, 0)
+_BP_B = (0, -1, 1, 0, -1)
+_BPP_A = (0, -1, 0, 0, -1)
+_BPP_B = (0, 0, 0, 1, 0)
 
-def basis_driven_gf(spec, trunc):
-    """1 + sum over m of basis polynomial times 1/(q^modulus; q^modulus)_m.
+# formula id -> (class kind, B_m or its per-s slice)
+_FORMULAS = {
+    "bp-total": ("P", partial(_p_basis, slices=[(1, 0, 0, 0, 0)])),
+    "bp-smallest-a": ("P", partial(_p_basis, slices=[_BP_A])),
+    "bp-smallest-b": ("P", partial(_p_basis, slices=[_BP_B])),
+    "bpp-total": ("Pprime", partial(_p_basis, slices=[_BPP_A, _BPP_B])),
+    "bpp-smallest-a": ("Pprime", partial(_p_basis, slices=[_BPP_A])),
+    "bpp-smallest-b": ("Pprime", partial(_p_basis, slices=[_BPP_B])),
+    "br-total": ("R", _br_total),
+    "brr-total": ("Rr", _br_total),
+    "bf-over": ("Fbar", _bf_over_ms),
+    "bf-run": ("Fr", _bf_run_ms),
+    "bl-over": ("Lbar", _bl_over_ms),
+    "bl-run": ("Lr", _bl_run_ms),
+}
 
-    The m loop stops once the minimal basis weight for m parts exceeds the
-    truncation order (every part of a basis element is at least the least
-    admissible bottom value).
-    """
-    k = spec.modulus
-    min_part = 1 if spec.is_overpartition_class else spec.a
-    total = Series.one(trunc, spec.markers)
-    m = 1
-    while m * min_part <= trunc:
-        poly = basis_gf(spec, m, trunc)
-        if not poly.is_zero():
-            total = total + _inverse_pochhammer(poly, k, m)
-        m += 1
-    return total
+# theorem id -> the B_m its closed form sums
+_THEOREMS = {
+    kind: partial(basis_closed_form, formula_id)
+    for formula_id, kind in (
+        ("bp-total", "P"), ("bpp-total", "Pprime"), ("br-total", "R"),
+        ("brr-total", "Rr"), ("bf-over", "Fbar"), ("bf-run", "Fr"),
+        ("bl-over", "Lbar"), ("bl-run", "Lr"))
+}
+_THEOREMS["Lr-literal"] = lambda spec, m, trunc: _over_total(
+    partial(_bl_run_ms, literal=True), spec, m, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -679,13 +405,13 @@ def check_identity(identity_id, params, trunc):
     return compare_routes(sides, subject, trunc, started)
 
 
-def verify(spec, trunc, closed_theorem_id=None):
+def verify(spec, trunc):
     """Three-route check: oracle vs basis-driven vs closed form."""
     started = time.perf_counter()
     routes = {
         "oracle": refined_gf(spec, trunc),
         "basis": basis_driven_gf(spec, trunc),
-        "closed": closed_form_gf(spec, trunc, closed_theorem_id),
+        "closed": closed_form_gf(spec, trunc),
     }
     return compare_routes(routes, spec, trunc, started)
 

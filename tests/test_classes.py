@@ -95,6 +95,17 @@ class TestClassSpec:
         with pytest.raises(ValueError):
             ClassSpec("Q")
 
+    def test_rejects_parameters_the_kind_does_not_use(self):
+        # a stray parameter would change the label, hence the golden path
+        with pytest.raises(ValueError):
+            ClassSpec("Fbar", r=3, a=9)
+        with pytest.raises(ValueError):
+            ClassSpec("R", a=1, b=2, c=3, k=4, r=2)
+        with pytest.raises(ValueError):
+            ClassSpec("Fr", r=2, k=1)
+        assert ClassSpec("Rr", a=1, b=2, c=3, k=4, r=2).label() == \
+            "Rr_a1_b2_c3_k4_r2"
+
     def test_json_round_trip(self):
         spec = ClassSpec("Rr", a=1, b=2, c=3, k=4, r=2)
         assert ClassSpec.from_json_dict(spec.to_json_dict()) == spec

@@ -1,10 +1,18 @@
 """CLI behavior: subcommands, formats, exit codes, golden corpus."""
 
 import json
+from pathlib import Path
 
-from sepclass import ClassSpec, Series, refined_gf
+import pytest
+
+from sepclass import (ClassSpec, Series, basis_driven_gf, closed_form_gf,
+                      load_grid, refined_gf)
+from sepclass import cli
 from sepclass.cli import (golden_dir, golden_path, read_golden, run,
                           write_golden)
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden"
+GOLDEN_FILES = sorted(GOLDEN.glob("*/*/coeffs_N25.json"))
 
 P_ARGS = ["--class", "P", "--a", "1", "--b", "2", "--k", "2", "--r", "1"]
 
@@ -124,6 +132,21 @@ class TestArgErrors:
         code, _, _ = run(["frobnicate"])
         assert code == 2
 
+    def test_parameter_the_class_does_not_use(self):
+        code, _, err = run(["series", "--class", "Fbar", "--r", "3",
+                            "--a", "9", "--trunc", "5"])
+        assert code == 2
+        assert b"takes no parameter" in err
+
+    def test_unexpected_exception_is_exit_3(self, monkeypatch):
+        def broken(spec, trunc):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "closed_form_gf", broken)
+        code, _, err = run(["series", "--class", "Fbar", "--trunc", "5"])
+        assert code == 3
+        assert err.startswith(b"internal error:")
+        assert b"boom" in err
+
 
 class TestVerifyCmd:
     def test_single_spec(self):
@@ -145,6 +168,24 @@ class TestVerifyCmd:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert all(line.startswith("MATCH") for line in lines)
+
+    def test_missing_grid_file(self, tmp_path):
+        code, _, err = run(["verify", "--grid", str(tmp_path / "none.json")])
+        assert code == 2
+        assert b"cannot load grid" in err
+
+    @pytest.mark.parametrize("text", [
+        "{not json", json.dumps({"specs": [{"class": "Fbar"}]}),
+        json.dumps({"trunc": 6}), json.dumps([1, 2]),
+        json.dumps({"trunc": 6, "specs": [{"class": "Fbar", "q": 1}]}),
+    ], ids=["syntax", "no-trunc", "no-specs", "not-an-object",
+            "unknown-field"])
+    def test_malformed_grid_file(self, tmp_path, text):
+        grid = tmp_path / "grid.json"
+        grid.write_text(text)
+        code, _, err = run(["verify", "--grid", str(grid)])
+        assert code == 2
+        assert b"cannot load grid" in err
 
 
 class TestIdentityCmd:
@@ -176,6 +217,12 @@ class TestOutFlag:
         assert out == b""
         assert target.read_text().strip() == "11"
 
+    def test_unwritable_target_is_exit_2(self, tmp_path):
+        code, _, err = run(["count", *P_ARGS, "--n", "7",
+                            "--out", str(tmp_path / "no" / "out.txt")])
+        assert code == 2
+        assert b"cannot write" in err
+
 
 class TestGolden:
     def test_env_override(self, tmp_path, monkeypatch):
@@ -206,3 +253,16 @@ class TestGolden:
         # spot-check two blessed files against a fresh enumeration
         for spec in (ClassSpec("P", a=1, b=2, k=2, r=1), ClassSpec("Lbar")):
             assert read_golden(spec, 25) == refined_gf(spec, 25)
+
+    @pytest.mark.parametrize("path", GOLDEN_FILES,
+                             ids=lambda p: p.parent.name)
+    def test_corpus_locks_basis_and_closed_routes(self, path):
+        spec = ClassSpec.from_json_dict(json.loads(path.read_text())["spec"])
+        assert golden_path(spec, 25, GOLDEN) == path
+        golden = read_golden(spec, 25, GOLDEN)
+        assert golden == basis_driven_gf(spec, 25) == closed_form_gf(spec, 25)
+
+    def test_corpus_covers_the_grid(self):
+        _, specs = load_grid()
+        assert sorted(golden_path(s, 25, GOLDEN) for s in specs) == \
+            GOLDEN_FILES

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepclass import (Series, ShapeMismatchError, g_poly, gaussian,
-                      gaussian_by_division, monomial, pochhammer)
+from sepclass import (Series, ShapeMismatchError, check_identity, g_poly,
+                      gaussian, gaussian_by_division, monomial, pochhammer)
+from sepclass import series as series_module
 from sepclass.objects import ClassSpec, enumerate_g
 
 
@@ -144,6 +145,24 @@ class TestGaussian:
                     rhs = rhs + monomial(shift, (), 1, N) * \
                         gaussian(A - 1, B - 1, k, N)
                 assert gaussian(A, B, k, N) == rhs
+
+    def test_long_row_needs_no_recursion(self):
+        # one Pascal step per row: 1100 rows exceed the default recursion
+        # limit of a recursive fill
+        expected = Series(10, (), None, {(e, ()): 1 for e in range(11)})
+        assert gaussian(1100, 1, 1, 10) == expected
+        assert check_identity("qbinom-recurrence",
+                              {"A": 1100, "B": 1, "k": 1}, 10).matched
+
+    def test_cache_holds_one_truncation_order(self):
+        gaussian(12, 5, 1, 20)
+        assert {key[3] for key in series_module._gauss_cache} == {20}
+        gaussian(12, 5, 1, 21)
+        assert {key[3] for key in series_module._gauss_cache} == {21}
+        # a repeated order reuses the cache instead of emptying it
+        size = len(series_module._gauss_cache)
+        gaussian(13, 5, 1, 21)
+        assert len(series_module._gauss_cache) > size
 
 
 def _bounded_partitions(n, max_parts, max_part):
