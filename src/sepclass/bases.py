@@ -227,8 +227,6 @@ def _enumerate_partition_basis(spec, m, max_weight):
             extend(chain + [v], w)
 
     for v in bottom:
-        if max_weight is not None and v + (m - 1) * v < v:
-            pass
         if max_weight is None or v * m <= max_weight:
             extend([v], v)
     return [p for p in out if is_basis_member(spec, p)]

@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from .bases import (DecompositionFailureError, Decomposition, decompose,
@@ -22,7 +23,8 @@ from .objects import (KIND_PARAMS, PARAM_NAMES, ClassSpec, KindMismatchError,
                       Overpartition, Partition, enumerate_members, refined_gf)
 from .series import Series
 from .theorems import (VerificationReport, basis_driven_gf, check_identity,
-                       closed_form_gf, load_grid, verify)
+                       closed_form_gf, compare_routes, load_grid,
+                       three_routes)
 
 DEFAULT_MAX_TRUNC = 200
 
@@ -213,12 +215,13 @@ def _spec_from_args(args):
         raise CliError(str(exc)) from exc
 
 
-def _check_trunc(args, value):
+def _check_trunc(args, value, flag="--trunc"):
+    """Bound a truncation order or weight (--trunc, --n) by --max-trunc."""
     if value is None or value < 0:
-        raise CliError("a nonnegative truncation order is required")
+        raise CliError(f"{flag} must be a nonnegative integer")
     if value > args.max_trunc:
         raise CliError(
-            f"truncation order {value} exceeds the guardrail "
+            f"{flag} {value} exceeds the guardrail "
             f"{args.max_trunc} (raise it with --max-trunc)")
 
 
@@ -247,8 +250,13 @@ def _parse_obj(text, spec):
 # ---------------------------------------------------------------------------
 
 def golden_dir():
+    """The corpus root: $SEPCLASS_GOLDEN_DIR, else ``golden/`` at the root
+    of the checkout this package is imported from (the ``src/`` layout),
+    wherever the command runs."""
     override = os.environ.get("SEPCLASS_GOLDEN_DIR")
-    return Path(override) if override else Path("golden")
+    if override:
+        return Path(override)
+    return Path(__file__).resolve().parents[2] / "golden"
 
 
 def golden_path(spec, trunc, root=None):
@@ -277,16 +285,15 @@ def read_golden(spec, trunc, root=None):
 
 def _cmd_count(args, out):
     spec = _spec_from_args(args)
-    if args.n < 0:
-        raise CliError("--n must be nonnegative")
-    out.write(emit(args.format, len(enumerate_members(spec, args.n))))
+    _check_trunc(args, args.n, "--n")
+    # the oracle's tally at weight n, summed over the markers; no objects
+    out.write(emit(args.format, refined_gf(spec, args.n).coefficient(args.n)))
     return 0
 
 
 def _cmd_list(args, out):
     spec = _spec_from_args(args)
-    if args.n < 0:
-        raise CliError("--n must be nonnegative")
+    _check_trunc(args, args.n, "--n")
     out.write(emit(args.format, enumerate_members(spec, args.n)))
     return 0
 
@@ -335,11 +342,13 @@ def _cmd_verify(args, out):
     reports = []
     all_match = True
     for spec, n in jobs:
-        report = verify(spec, n)
+        started = time.perf_counter()
+        routes = three_routes(spec, n)
+        report = compare_routes(routes, spec, n, started)
         reports.append(report)
         all_match = all_match and report.matched
         if args.bless and report.matched:
-            write_golden(spec, n, refined_gf(spec, n))
+            write_golden(spec, n, routes["oracle"])
     payload = reports[0] if len(reports) == 1 else reports
     out.write(emit(args.format, payload))
     return 0 if all_match else 1

@@ -5,6 +5,14 @@ Eight restricted classes are supported (four on partitions, four on
 overpartitions) plus the auxiliary bounded-multiplicity sets used by the
 closed-form machinery.
 
+The oracle (``refined_gf``, ``enumerate_members``) is one pruned
+depth-first walk over non-increasing part sequences (``_walk``).  Every
+class clause constrains adjacent parts only, so every prefix of a member
+is a member and one walk up to weight N reaches every member of weight at
+most N.  It reads only the class definitions; ``is_member`` with
+``all_partitions``/``all_overpartitions`` is the independent filter it is
+tested against.
+
 Terminology note: the run restrictions are deliberately asymmetric and are
 implemented exactly as defined per class.  P/Pprime forbid r+1 consecutive
 parts in the restricted residue class (r consecutive are allowed), while
@@ -13,6 +21,8 @@ Rr, Fr and Lr forbid r consecutive parts of the restricted sort.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 from .series import Series
@@ -331,62 +341,106 @@ def is_member(spec, obj):
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _enumerate_partition_class(spec, n):
+def _next_parts(spec, cap):
+    """The class clauses as one step of the walk.
+
+    Returns ``step(prev, prev_over, run, hi)``, which lists the parts of
+    magnitude at most ``hi`` that may follow a member whose last part is
+    ``prev`` (0 for the empty member, ``prev_over`` its overline) and
+    whose trailing restricted run has ``run`` parts.  Each entry is
+    ``(magnitude, overlined, run, mark)``: the run the new part leaves and
+    the index of the marker exponent it raises (None for none).  Entries
+    come in walk order: larger magnitudes first, and for overpartitions the
+    plain copy of a magnitude before the overlined one.
+    """
     kind = spec.kind
-    a, b, c, k, r = spec.a, spec.b, spec.c, spec.k, spec.r
-    if kind in ("P", "Pprime"):
-        allowed = {a % k, b % k}
+    if spec.is_overpartition_class:
+        first = spec.convention == FIRST
+        bars_apart = kind in ("Fbar", "Lbar")
+        # Fr/Lr: fewer than r consecutive non-overlined parts; for Fbar/Lbar
+        # a run never exceeds cap parts, so the bound never binds
+        run_cap = spec.r - 1 if kind in ("Fr", "Lr") else cap
+
+        def step(prev, prev_over, run, hi):
+            out = []
+            for v in range(hi, 0, -1):
+                if prev_over and v == prev and not first:
+                    continue    # last: the overlined copy ends its magnitude
+                if run < run_cap:
+                    out.append((v, False, run + 1, None))
+                if not (first and v == prev) and \
+                        not (bars_apart and prev_over):
+                    out.append((v, True, 0, 0))
+            return out
+        return step
+
+    k = spec.k
+    r_like = kind in ("R", "Rr")
+    residues = (spec.a, spec.b, spec.c) if r_like else (spec.a, spec.b)
+    mark = {x % k: i for i, x in enumerate(residues)}
+    ra, rc = spec.a % k, (spec.c % k if r_like else None)
+    # the residue whose runs are bounded, and the longest run allowed:
+    # at most r for P/Pprime, fewer than r for Rr, unbounded for R
+    if kind == "R":
+        restricted, run_cap = None, cap
     else:
-        allowed = {a % k, b % k, c % k}
-    out = []
+        restricted = (spec.a if kind == "Pprime" else spec.b) % k
+        run_cap = spec.r - 1 if kind == "Rr" else spec.r
+    values = [v for v in range(cap, 0, -1) if v % k in mark]
+    negated = [-v for v in values]      # ascending, for bisect
+
+    def step(prev, prev_over, run, hi):
+        out = []
+        after_a = r_like and prev and prev % k == ra
+        for v in values[bisect_left(negated, -hi):]:
+            res = v % k
+            if r_like:
+                if res == rc and v == prev:
+                    continue            # c-parts are distinct
+                if after_a and res != ra and res != rc:
+                    continue            # below an a-part: an a- or c-part
+            new_run = run + 1 if res == restricted else 0
+            if new_run <= run_cap:
+                out.append((v, False, new_run, mark[res]))
+        return out
+    return step
+
+
+def _walk(spec, cap):
+    """Depth-first walk over every member of weight at most cap.
+
+    Parts are added one at a time, never larger than the previous part, and
+    each clause is checked as soon as the new part decides it (see
+    ``_next_parts``).  Every clause constrains adjacent parts only, so every
+    prefix of a member is itself a member: the walk visits exactly the
+    members of weight <= cap, each once, in pre-order, which among members
+    of one weight is the decreasing order of ``enumerate_members``.  Yields
+    ``(weight, marks, prefix)`` per member; ``prefix`` is one list of
+    ``(magnitude, overlined)`` pairs shared by the whole walk, valid until
+    the next step.  The stack is explicit, so the depth is not bounded by
+    the recursion limit.
+    """
+    step = _next_parts(spec, cap)
     prefix = []
+    stack = []
 
-    def ok_next(v):
-        res = v % k
-        if res not in allowed:
-            return False
-        if kind == "P" or kind == "Pprime":
-            bad = (b if kind == "P" else a) % k
-            if res == bad:
-                run = 1
-                for p in reversed(prefix):
-                    if p % k == bad:
-                        run += 1
-                    else:
-                        break
-                if run > r:
-                    return False
-        else:
-            if prefix:
-                prev = prefix[-1]
-                if prev % k == c % k and prev == v:
-                    return False
-                if prev % k == a % k and res not in (a % k, c % k):
-                    return False
-            if kind == "Rr" and res == b % k:
-                run = 1
-                for p in reversed(prefix):
-                    if p % k == b % k:
-                        run += 1
-                    else:
-                        break
-                if run >= spec.r:
-                    return False
-        return True
+    def push(depth, weight, marks, children):
+        for v, over, run, mark in reversed(children):
+            if mark is not None:
+                marks_v = marks[:mark] + (marks[mark] + 1,) + marks[mark + 1:]
+            else:
+                marks_v = marks
+            stack.append((depth, weight + v, v, over, run, marks_v))
 
-    def extend(remaining, max_part):
-        if remaining == 0:
-            out.append(Partition(tuple(prefix)))
-            return
-        for v in range(min(remaining, max_part), 0, -1):
-            if not ok_next(v):
-                continue
-            prefix.append(v)
-            extend(remaining - v, v)
-            prefix.pop()
-
-    extend(n, n if n else 0)
-    return out
+    zero = (0,) * len(spec.markers)
+    yield 0, zero, prefix
+    push(1, 0, zero, step(0, False, 0, cap))
+    while stack:
+        depth, weight, v, over, run, marks = stack.pop()
+        prefix[depth - 1:] = ((v, over),)
+        yield weight, marks, prefix
+        hi = min(cap - weight, v)
+        push(depth + 1, weight, marks, step(v, over, run, hi))
 
 
 def all_partitions(n, max_part=None):
@@ -431,19 +485,18 @@ def all_overpartitions(n, convention=FIRST):
 
 
 def enumerate_members(spec, n):
-    """All class members of weight n, deterministic decreasing order."""
-    if n == 0:
-        if spec.kind == "Gset":
-            return [Partition()] if spec.h == 0 else []
-        if spec.is_overpartition_class:
-            return [Overpartition((), spec.convention)]
-        return [Partition()]
+    """All class members of weight n, deterministic decreasing order.
+
+    One ``_walk`` up to weight n; objects are built for the members of
+    weight exactly n only.
+    """
     if spec.kind == "Gset":
         return [p for p in enumerate_g(spec) if p.weight == n]
     if spec.is_overpartition_class:
-        return [op for op in all_overpartitions(n, spec.convention)
-                if is_member(spec, op)]
-    return _enumerate_partition_class(spec, n)
+        return [Overpartition(tuple(prefix), spec.convention)
+                for weight, _, prefix in _walk(spec, n) if weight == n]
+    return [Partition(tuple(v for v, _ in prefix))
+            for weight, _, prefix in _walk(spec, n) if weight == n]
 
 
 def enumerate_g(spec):
@@ -472,11 +525,16 @@ def enumerate_g(spec):
 
 def refined_gf(spec, trunc):
     """Brute-force refined generating function: sum over all members of
-    weight at most trunc of marker-monomial times q^weight."""
-    markers = spec.markers
-    terms = {}
-    for n in range(trunc + 1):
-        for obj in enumerate_members(spec, n):
-            key = (n, spec.marker_exponents(obj))
-            terms[key] = terms.get(key, 0) + 1
-    return Series(trunc, markers, None, terms)
+    weight at most trunc of marker-monomial times q^weight.
+
+    Since every prefix of a member is a member, one ``_walk`` up to trunc
+    visits all of them; it tallies (weight, marks) at each node and builds
+    no objects.  A Gset has exactly h parts, so its members are tallied
+    from ``enumerate_g`` instead.
+    """
+    if spec.kind == "Gset":
+        keys = ((p.weight, ()) for p in enumerate_g(spec)
+                if p.weight <= trunc)
+    else:
+        keys = ((weight, marks) for weight, marks, _ in _walk(spec, trunc))
+    return Series(trunc, spec.markers, None, Counter(keys))

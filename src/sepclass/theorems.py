@@ -405,15 +405,19 @@ def check_identity(identity_id, params, trunc):
     return compare_routes(sides, subject, trunc, started)
 
 
-def verify(spec, trunc):
-    """Three-route check: oracle vs basis-driven vs closed form."""
-    started = time.perf_counter()
-    routes = {
+def three_routes(spec, trunc):
+    """The series of the three routes, keyed oracle, basis, closed."""
+    return {
         "oracle": refined_gf(spec, trunc),
         "basis": basis_driven_gf(spec, trunc),
         "closed": closed_form_gf(spec, trunc),
     }
-    return compare_routes(routes, spec, trunc, started)
+
+
+def verify(spec, trunc):
+    """Three-route check: oracle vs basis-driven vs closed form."""
+    started = time.perf_counter()
+    return compare_routes(three_routes(spec, trunc), spec, trunc, started)
 
 
 # ---------------------------------------------------------------------------

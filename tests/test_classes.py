@@ -1,11 +1,15 @@
 """Domain objects, membership, enumeration, refined counting series."""
 
+from collections import Counter
+
 import pytest
 
 from conftest import P, op, op_set
 from sepclass import (ClassSpec, KindMismatchError, Overpartition, Partition,
                       all_overpartitions, all_partitions, enumerate_g,
-                      enumerate_members, is_member, refined_gf)
+                      enumerate_members, is_member, load_grid, refined_gf)
+
+GRID_SPECS = load_grid()[1]
 
 KNOWN_P_1221_7 = [
     (7,), (6, 1), (5, 2), (5, 1, 1), (4, 3), (4, 1, 1, 1), (3, 3, 1),
@@ -224,6 +228,52 @@ class TestRefinedGf:
             for n in range(13):
                 assert series.coefficient(n) == \
                     len(enumerate_members(spec, n))
+
+
+    def test_deep_members_need_no_recursion(self):
+        # the all-ones member of weight 1100 has 1100 parts, more than the
+        # default recursion limit; members are 1003^e 1001^x 3^f 1^y
+        spec = ClassSpec("Rr", a=1, b=2, c=3, k=1000, r=1)
+        expected = Counter()
+        for e in (0, 1):
+            for x in (0, 1):
+                for f in (0, 1):
+                    for y in range(1101):
+                        w = 1003 * e + 1001 * x + 3 * f + y
+                        if w <= 1100:
+                            expected[(w, (x + y, 0, e + f))] += 1
+        assert refined_gf(spec, 1100).terms == expected
+
+    def test_gset_tallies_enumerate_g(self):
+        spec = ClassSpec("Gset", d=1, k=2, r=3, h=2, s=3)
+        series = refined_gf(spec, 6)
+        assert series.terms == Counter(
+            (p.weight, ()) for p in enumerate_g(spec) if p.weight <= 6)
+        assert series.coefficient(6) == len(enumerate_members(spec, 6))
+
+
+def _filtered_universe(spec, n):
+    """Members of weight n by the old route: every partition or
+    overpartition of n, filtered by is_member, in the universe's order."""
+    if spec.is_overpartition_class:
+        universe = all_overpartitions(n, spec.convention)
+    else:
+        universe = [Partition(p) for p in all_partitions(n)]
+    return [u for u in universe if is_member(spec, u)]
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=str)
+class TestWalkAgainstFilter:
+    """The pruned walk against the filtered universe, on every grid spec."""
+
+    def test_refined_gf_equals_filtered_tally(self, spec):
+        tally = Counter((n, spec.marker_exponents(u)) for n in range(13)
+                        for u in _filtered_universe(spec, n))
+        assert refined_gf(spec, 12).terms == tally
+
+    def test_enumerate_members_in_filter_order(self, spec):
+        for n in range(11):
+            assert enumerate_members(spec, n) == _filtered_universe(spec, n)
 
 
 def Series_one(spec):

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from sepclass import (ClassSpec, Series, basis_driven_gf, closed_form_gf,
-                      load_grid, refined_gf)
-from sepclass import cli
+                      enumerate_members, load_grid, refined_gf, verify)
+from sepclass import cli, theorems
 from sepclass.cli import (golden_dir, golden_path, read_golden, run,
                           write_golden)
 
@@ -48,6 +48,21 @@ class TestCountList:
         code, _, err = run(["count", *P_ARGS, "--n", "-1"])
         assert code == 2
         assert b"error" in err
+
+    @pytest.mark.parametrize("cmd", ["count", "list"])
+    def test_n_guardrail(self, cmd):
+        code, _, err = run([cmd, "--class", "Fbar", "--n", "100000",
+                            "--max-trunc", "10"])
+        assert code == 2
+        assert b"guardrail" in err
+
+    @pytest.mark.parametrize("argv,spec", [
+        (["--class", "Fbar"], ClassSpec("Fbar")),
+        (P_ARGS, ClassSpec("P", a=1, b=2, k=2, r=1)),
+        (["--class", "Lr", "--r", "2"], ClassSpec("Lr", r=2))])
+    def test_count_matches_enumerate_members(self, argv, spec):
+        assert int(ok(["count", *argv, "--n", "9"])) == \
+            len(enumerate_members(spec, 9))
 
 
 class TestBasis:
@@ -238,6 +253,36 @@ class TestGolden:
         path = golden_path(spec, 8)
         assert path.exists()
         assert read_golden(spec, 8) == refined_gf(spec, 8)
+
+    def test_bless_runs_the_oracle_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEPCLASS_GOLDEN_DIR", str(tmp_path))
+        calls = []
+
+        def counted(spec, trunc):
+            calls.append((spec, trunc))
+            return refined_gf(spec, trunc)
+        monkeypatch.setattr(theorems, "refined_gf", counted)
+        monkeypatch.setattr(cli, "refined_gf", counted)
+        code, out, _ = run(["verify", "--class", "Fbar", "--trunc", "8",
+                            "--bless", "--format", "json"])
+        assert code == 0
+        assert calls == [(ClassSpec("Fbar"), 8)]
+        assert read_golden(ClassSpec("Fbar"), 8) == refined_gf(
+            ClassSpec("Fbar"), 8)
+        report = json.loads(out)
+        expected = verify(ClassSpec("Fbar"), 8).to_json_dict()
+        del report["elapsed_ms"], expected["elapsed_ms"]
+        assert report == expected
+
+    def test_default_dir_is_the_checkout_corpus(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.delenv("SEPCLASS_GOLDEN_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert golden_dir() == GOLDEN
+        spec = ClassSpec("Fbar")
+        assert golden_path(spec, 25) == GOLDEN / "Fbar" / "Fbar" / \
+            "coeffs_N25.json"
+        assert read_golden(spec, 25).trunc == 25
 
     def test_corruption_detected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEPCLASS_GOLDEN_DIR", str(tmp_path))
