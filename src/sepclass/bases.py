@@ -7,14 +7,24 @@ partition classes, arbitrary nonnegative for the overpartition classes).
 ``decompose`` finds the split greedily bottom-up in O(m); the exhaustive
 search ``brute_force_decompositions`` is the independent oracle that
 certifies uniqueness in the tests.
+
+The basis is enumerated by the oracle's depth-first driver
+(``objects._walk``) with its own step, ``_basis_parts``, which grows a
+chain from its smallest part upward and checks each basis clause as the
+new part decides it.  Every clause relates adjacent parts, so every
+bottom prefix of a basis element is one: ``basis_polys`` tallies every
+B_m from one walk, and ``enumerate_basis`` builds objects at m parts
+only.  ``is_basis_member`` is the independent filter both are tested
+against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .objects import (FIRST, KindMismatchError, Overpartition,
-                      Partition, is_member)
+                      Partition, _walk, is_member)
 from .series import Series
 
 
@@ -143,143 +153,98 @@ def _is_over_basis(spec, obj):
 # basis enumeration
 # ---------------------------------------------------------------------------
 
+def _basis_parts(spec):
+    """The basis clauses as one bottom-up step of ``objects._walk``.
+
+    A basis chain grows from its smallest part upward, so ``prev`` is the
+    part the new one sits directly above (0 for none yet) and ``room``
+    bounds the new part.  Each clause is checked as soon as the new part
+    decides it.  Every clause relates adjacent parts, so every bottom
+    prefix of a basis element is a basis element.
+    """
+    kind = spec.kind
+    if kind == "Gset":
+        raise KindMismatchError("the auxiliary bounded sets have no basis")
+    if spec.is_overpartition_class:
+        first = spec.convention == FIRST
+        bars_apart = kind in ("Fbar", "Lbar")
+
+        def step(prev, prev_over, run, room):
+            out = []
+            for over in (False, True):
+                if not prev:
+                    mag = 1                 # the smallest part is 1 or 1~
+                elif bars_apart and prev_over and over:
+                    continue                # no two adjacent overlines
+                elif (prev_over if first else over):
+                    # the gap of one sits above the overlined part (first)
+                    # or below it (last); otherwise the parts are equal
+                    mag = prev + 1
+                else:
+                    mag = prev
+                new_run = 0 if over else run + 1
+                # Fr/Lr: r-1 plain parts in a row force an overline above
+                if mag <= room and (bars_apart or new_run < spec.r):
+                    out.append((mag, over, new_run, 0 if over else None))
+            return out
+        return step
+
+    k = spec.k
+    r_like = kind in ("R", "Rr")
+    bottom = (spec.a, spec.b, spec.c) if r_like else (spec.a, spec.b)
+    mark = {x % k: i for i, x in enumerate(bottom)}
+    ra, rc = spec.a % k, (spec.c % k if r_like else None)
+    # the residue whose runs are bounded and the longest run allowed: at
+    # most r for P/Pprime, fewer than r for Rr; R bounds no run
+    if kind == "R":
+        restricted, run_cap = None, 0
+    else:
+        restricted = (spec.a if kind == "Pprime" else spec.b) % k
+        run_cap = spec.r - 1 if kind == "Rr" else spec.r
+
+    def step(prev, prev_over, run, room):
+        if prev:
+            # gap clause: below k, or up to k above a c-part of R/Rr
+            top = prev + (k if prev % k == rc else k - 1)
+            window = range(prev, min(top, room) + 1)
+        else:
+            window = [v for v in bottom if v <= room]   # bottom value
+        out = []
+        for v in window:
+            res = v % k
+            if res not in mark:
+                continue                    # allowed residues
+            if r_like:
+                if res == rc and v == prev:
+                    continue                # c-parts are distinct
+                if res == ra and prev and prev % k not in (ra, rc):
+                    continue                # below an a-part: an a- or c-part
+            new_run = run + 1 if res == restricted else 0
+            if new_run <= run_cap:
+                out.append((v, False, new_run, mark[res]))
+        return out
+    return step
+
+
 def enumerate_basis(spec, m, max_weight=None):
     """The complete basis set with m parts, deterministic decreasing order.
 
-    ``max_weight`` prunes the search to elements of bounded weight (the set
-    is finite either way, but the bound keeps desk-scale sweeps fast).
+    One walk of the basis chains up to m parts; objects are built for the
+    m-part chains only.  ``max_weight`` prunes the walk to elements of
+    bounded weight.  The set is finite either way: the i-th smallest part
+    is at most i times the modulus, so no element weighs more than m^2
+    times the modulus.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if max_weight is None:
+        max_weight = m * m * spec.modulus
+    walk = _walk(spec, _basis_parts(spec), max_weight, m)
+    chains = sorted((chain[::-1] for _, _, chain in walk if len(chain) == m),
+                    key=lambda parts: [(-mag, o) for mag, o in parts])
     if spec.is_overpartition_class:
-        out = _enumerate_over_basis(spec, m, max_weight)
-        out.sort(key=lambda op: tuple((-mag, o) for mag, o in op.parts))
-        return out
-    out = _enumerate_partition_basis(spec, m, max_weight)
-    out.sort(key=lambda p: tuple(-x for x in p.parts))
-    return out
-
-
-def _enumerate_partition_basis(spec, m, max_weight):
-    kind = spec.kind
-    k = spec.k
-    if kind in ("P", "Pprime"):
-        bottom = [spec.a, spec.b]
-        residues = (spec.a % k, spec.b % k)
-    else:
-        bottom = [spec.a, spec.b, spec.c]
-        residues = (spec.a % k, spec.b % k, spec.c % k)
-    out = []
-
-    def candidates_above(prev):
-        # window allowed by the gap clause, one value per residue
-        if kind in ("P", "Pprime"):
-            lo, hi = prev, prev + k - 1
-        else:
-            strict = prev % k in (spec.a % k, spec.b % k)
-            lo, hi = prev, prev + (k - 1 if strict else k)
-        vals = []
-        for res in residues:
-            v = lo + (res - lo) % k
-            while v <= hi:
-                vals.append(v)
-                v += k
-        return sorted(set(vals))
-
-    def run_ok(chain, new):
-        # chain is built bottom-up; check the clause triggered by `new`
-        if kind in ("P", "Pprime"):
-            bad = (spec.b if kind == "P" else spec.a) % k
-            r = spec.r
-            if len(chain) >= r and \
-                    all(chain[-j] % k == bad for j in range(1, r + 1)):
-                if new % k != (spec.a if kind == "P" else spec.b) % k:
-                    return False
-            return True
-        if new % k == spec.c % k and chain and chain[-1] == new:
-            return False
-        if new % k == spec.a % k and chain and \
-                chain[-1] % k not in (spec.a % k, spec.c % k):
-            return False
-        if kind == "Rr" and new % k == spec.b % k:
-            run = 1
-            for p in reversed(chain):
-                if p % k == spec.b % k:
-                    run += 1
-                else:
-                    break
-            if run >= spec.r:
-                return False
-        return True
-
-    def extend(chain, weight):
-        if len(chain) == m:
-            out.append(Partition(tuple(reversed(chain))))
-            return
-        remaining = m - len(chain)
-        for v in candidates_above(chain[-1]):
-            w = weight + v
-            if max_weight is not None and \
-                    w + (remaining - 1) * v > max_weight:
-                continue
-            if not run_ok(chain, v):
-                continue
-            extend(chain + [v], w)
-
-    for v in bottom:
-        if max_weight is None or v * m <= max_weight:
-            extend([v], v)
-    return [p for p in out if is_basis_member(spec, p)]
-
-
-def _enumerate_over_basis(spec, m, max_weight):
-    kind = spec.kind
-    out = []
-
-    def run_ok(chain, new_flag):
-        if kind in ("Fr", "Lr"):
-            r = spec.r
-            if len(chain) >= r - 1 and \
-                    all(not chain[-j][1] for j in range(1, r)):
-                if not new_flag:
-                    return False
-        return True
-
-    def extend(chain, weight):
-        # chain bottom-up: chain[-1] is the current top part
-        if len(chain) == m:
-            parts = tuple(reversed(chain))
-            try:
-                op = Overpartition(parts, spec.convention)
-            except ValueError:
-                return
-            if is_basis_member(spec, op):
-                out.append(op)
-            return
-        below_mag, below_flag = chain[-1]
-        remaining = m - len(chain)
-        for new_flag in (False, True):
-            if kind in ("Fbar", "Fr"):
-                offset = 1 if below_flag else 0
-                if kind == "Fbar" and below_flag and new_flag:
-                    continue
-            else:
-                offset = 1 if new_flag else 0
-                if kind == "Lbar" and below_flag and new_flag:
-                    continue
-            mag = below_mag + offset
-            w = weight + mag
-            if max_weight is not None and \
-                    w + (remaining - 1) * mag > max_weight:
-                continue
-            if not run_ok(chain, new_flag):
-                continue
-            extend(chain + [(mag, new_flag)], w)
-
-    for flag in (False, True):
-        if max_weight is None or m <= max_weight:
-            extend([(1, flag)], 1)
-    return out
+        return [Overpartition(parts, spec.convention) for parts in chains]
+    return [Partition(tuple(v for v, _ in parts)) for parts in chains]
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +393,33 @@ def _padding_ok(padding, k):
 # basis generating functions and residue shifts
 # ---------------------------------------------------------------------------
 
+def _basis_terms(spec, trunc, parts=None):
+    """{m: {(weight, marks): count}} over the basis elements of weight at
+    most trunc, tallied from one walk of the basis chains (m = 0 is the
+    empty chain)."""
+    walk = _walk(spec, _basis_parts(spec), trunc, parts)
+    tally = Counter((len(chain), weight, marks)
+                    for weight, marks, chain in walk)
+    by_m = {}
+    for (m, weight, marks), count in tally.items():
+        by_m.setdefault(m, {})[weight, marks] = count
+    return by_m
+
+
+def basis_polys(spec, trunc):
+    """Every marker-refined basis polynomial B_m, truncated, from one walk:
+    a dict m -> Series over m >= 1, without the m that have no element of
+    weight at most trunc."""
+    return {m: Series(trunc, spec.markers, None, terms)
+            for m, terms in _basis_terms(spec, trunc).items() if m}
+
+
 def basis_gf(spec, m, trunc):
     """Marker-refined polynomial over the m-part basis, truncated."""
-    terms = {}
-    for obj in enumerate_basis(spec, m, max_weight=trunc):
-        key = (obj.weight, spec.marker_exponents(obj))
-        terms[key] = terms.get(key, 0) + 1
-    return Series(trunc, spec.markers, None, terms)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return Series(trunc, spec.markers, None,
+                  _basis_terms(spec, trunc, m).get(m))
 
 
 def residue_shift(spec_from, spec_to, p):

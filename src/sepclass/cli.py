@@ -216,7 +216,8 @@ def _spec_from_args(args):
 
 
 def _check_trunc(args, value, flag="--trunc"):
-    """Bound a truncation order or weight (--trunc, --n) by --max-trunc."""
+    """Bound a truncation order, weight or part count (--trunc, --n,
+    --parts, --max-weight) by --max-trunc."""
     if value is None or value < 0:
         raise CliError(f"{flag} must be a nonnegative integer")
     if value > args.max_trunc:
@@ -302,6 +303,9 @@ def _cmd_basis(args, out):
     spec = _spec_from_args(args)
     if args.parts < 1:
         raise CliError("--parts must be >= 1")
+    _check_trunc(args, args.parts, "--parts")
+    if args.max_weight is not None:
+        _check_trunc(args, args.max_weight, "--max-weight")
     elements = enumerate_basis(spec, args.parts, max_weight=args.max_weight)
     out.write(emit(args.format, elements))
     return 0

@@ -344,14 +344,13 @@ def is_member(spec, obj):
 def _next_parts(spec, cap):
     """The class clauses as one step of the walk.
 
-    Returns ``step(prev, prev_over, run, hi)``, which lists the parts of
-    magnitude at most ``hi`` that may follow a member whose last part is
-    ``prev`` (0 for the empty member, ``prev_over`` its overline) and
-    whose trailing restricted run has ``run`` parts.  Each entry is
-    ``(magnitude, overlined, run, mark)``: the run the new part leaves and
-    the index of the marker exponent it raises (None for none).  Entries
-    come in walk order: larger magnitudes first, and for overpartitions the
-    plain copy of a magnitude before the overlined one.
+    Returns the ``step(prev, prev_over, run, room)`` of ``_walk``: the
+    parts that may follow a member whose last part is ``prev`` (0 for the
+    empty member), of magnitude at most ``room`` and never above ``prev``.
+    Entries come in walk order: larger magnitudes first, and for
+    overpartitions the plain copy of a magnitude before the overlined one,
+    so among members of one weight the walk's pre-order is the decreasing
+    order of ``enumerate_members``.
     """
     kind = spec.kind
     if spec.is_overpartition_class:
@@ -361,9 +360,9 @@ def _next_parts(spec, cap):
         # a run never exceeds cap parts, so the bound never binds
         run_cap = spec.r - 1 if kind in ("Fr", "Lr") else cap
 
-        def step(prev, prev_over, run, hi):
+        def step(prev, prev_over, run, room):
             out = []
-            for v in range(hi, 0, -1):
+            for v in range(min(room, prev) if prev else room, 0, -1):
                 if prev_over and v == prev and not first:
                     continue    # last: the overlined copy ends its magnitude
                 if run < run_cap:
@@ -389,9 +388,10 @@ def _next_parts(spec, cap):
     values = [v for v in range(cap, 0, -1) if v % k in mark]
     negated = [-v for v in values]      # ascending, for bisect
 
-    def step(prev, prev_over, run, hi):
+    def step(prev, prev_over, run, room):
         out = []
         after_a = r_like and prev and prev % k == ra
+        hi = min(room, prev) if prev else room
         for v in values[bisect_left(negated, -hi):]:
             res = v % k
             if r_like:
@@ -406,21 +406,27 @@ def _next_parts(spec, cap):
     return step
 
 
-def _walk(spec, cap):
-    """Depth-first walk over every member of weight at most cap.
+def _walk(spec, step, cap, parts=None):
+    """Depth-first walk over a prefix-closed set of part sequences.
 
-    Parts are added one at a time, never larger than the previous part, and
-    each clause is checked as soon as the new part decides it (see
-    ``_next_parts``).  Every clause constrains adjacent parts only, so every
-    prefix of a member is itself a member: the walk visits exactly the
-    members of weight <= cap, each once, in pre-order, which among members
-    of one weight is the decreasing order of ``enumerate_members``.  Yields
-    ``(weight, marks, prefix)`` per member; ``prefix`` is one list of
-    ``(magnitude, overlined)`` pairs shared by the whole walk, valid until
-    the next step.  The stack is explicit, so the depth is not bounded by
-    the recursion limit.
+    ``step(prev, prev_over, run, room)`` lists the parts that may follow a
+    sequence whose last part is ``prev`` (0 for the empty sequence,
+    ``prev_over`` its overline) and whose trailing restricted run has
+    ``run`` parts, as ``(magnitude, overlined, run, mark)`` entries: the
+    run the new part leaves and the index of the marker exponent it raises
+    (None for none).  ``room`` is the weight left under ``cap``.  With
+    ``parts`` the walk stops at that many parts and ``room`` is the weight
+    left per part still to add, which bounds the next part when later
+    parts are no smaller.
+
+    Parts are added one at a time and each clause is checked as soon as the
+    new part decides it, so when every clause constrains adjacent parts
+    only, the walk visits each sequence of weight <= cap once, in
+    pre-order.  Yields ``(weight, marks, prefix)`` per sequence, the empty
+    one first; ``prefix`` is one list of ``(magnitude, overlined)`` pairs
+    shared by the whole walk, valid until the next step.  The stack is
+    explicit, so the depth is not bounded by the recursion limit.
     """
-    step = _next_parts(spec, cap)
     prefix = []
     stack = []
 
@@ -434,13 +440,15 @@ def _walk(spec, cap):
 
     zero = (0,) * len(spec.markers)
     yield 0, zero, prefix
-    push(1, 0, zero, step(0, False, 0, cap))
+    push(1, 0, zero, step(0, False, 0, cap if parts is None else cap // parts))
     while stack:
         depth, weight, v, over, run, marks = stack.pop()
         prefix[depth - 1:] = ((v, over),)
         yield weight, marks, prefix
-        hi = min(cap - weight, v)
-        push(depth + 1, weight, marks, step(v, over, run, hi))
+        if depth != parts:
+            room = cap - weight if parts is None else \
+                (cap - weight) // (parts - depth)
+            push(depth + 1, weight, marks, step(v, over, run, room))
 
 
 def all_partitions(n, max_part=None):
@@ -492,11 +500,12 @@ def enumerate_members(spec, n):
     """
     if spec.kind == "Gset":
         return [p for p in enumerate_g(spec) if p.weight == n]
+    walk = _walk(spec, _next_parts(spec, n), n)
     if spec.is_overpartition_class:
         return [Overpartition(tuple(prefix), spec.convention)
-                for weight, _, prefix in _walk(spec, n) if weight == n]
+                for weight, _, prefix in walk if weight == n]
     return [Partition(tuple(v for v, _ in prefix))
-            for weight, _, prefix in _walk(spec, n) if weight == n]
+            for weight, _, prefix in walk if weight == n]
 
 
 def enumerate_g(spec):
@@ -536,5 +545,6 @@ def refined_gf(spec, trunc):
         keys = ((p.weight, ()) for p in enumerate_g(spec)
                 if p.weight <= trunc)
     else:
-        keys = ((weight, marks) for weight, marks, _ in _walk(spec, trunc))
+        keys = ((weight, marks) for weight, marks, _ in
+                _walk(spec, _next_parts(spec, trunc), trunc))
     return Series(trunc, spec.markers, None, Counter(keys))

@@ -3,13 +3,14 @@ and three-route coefficient-by-coefficient verification.
 
 Every class admits three series routes:
   oracle  - brute-force enumeration of members,
-  basis   - the enumerated m-part basis polynomials B_m fed through the
+  basis   - the m-part basis polynomials B_m, tallied from one walk of
+            the basis chains (``basis_polys``), fed through the
             separability assembly 1 + sum_m B_m / (q^k; q^k)_m,
   closed  - the lemma-level closed forms of B_m (``basis_closed_form``)
             fed through that same assembly.
 The basis and closed routes share the assembly; only B_m differs, and the
 lemma multi-sums that give it in the closed route share no code with the
-basis enumeration.  ``verify`` compares all three term by term.
+basis walk.  ``verify`` compares all three term by term.
 
 Erratum: the printed closed form for the last-occurrence bounded-run class
 carries a stray q^m factor on its overlined terms (the prefactor q^m is
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 
-from .bases import basis_gf
-from .objects import ClassSpec, enumerate_g, refined_gf
+from .bases import basis_polys
+from .objects import ClassSpec, refined_gf
 from .series import Series, g_poly, gaussian, monomial
 
 # ---------------------------------------------------------------------------
@@ -107,9 +108,12 @@ def _assemble(poly, spec, trunc):
 
 
 def basis_driven_gf(spec, trunc):
-    """The basis route: the enumerated m-part basis polynomials
-    (``basis_gf``) through the separability assembly."""
-    return _assemble(basis_gf, spec, trunc)
+    """The basis route: every m-part basis polynomial, tallied from one
+    walk of the basis chains (``basis_polys``), through the separability
+    assembly."""
+    polys = basis_polys(spec, trunc)
+    zero = Series.zero(trunc, spec.markers)
+    return _assemble(lambda spec, m, trunc: polys.get(m, zero), spec, trunc)
 
 
 def closed_form_gf(spec, trunc, theorem_id=None):
@@ -317,14 +321,6 @@ _THEOREMS["Lr-literal"] = lambda spec, m, trunc: _over_total(
 # identities and verification
 # ---------------------------------------------------------------------------
 
-def _g_counting_gf(gspec, trunc):
-    terms = {}
-    for p in enumerate_g(gspec):
-        if p.weight <= trunc:
-            terms[(p.weight, ())] = terms.get((p.weight, ()), 0) + 1
-    return Series(trunc, (), None, terms)
-
-
 IDENTITY_IDS = ("cauchy1", "cauchy2", "vanishing", "g-vs-enumeration",
                 "g-binomial-r2", "g-closed-r2", "qbinom-recurrence",
                 "gaussian-division")
@@ -372,14 +368,14 @@ def check_identity(identity_id, params, trunc):
         gspec = ClassSpec("Gset", d=d, k=k, r=r, h=h, s=s)
         closed = monomial(h * d, (), 1, trunc) * g_poly(k, r, h, s, trunc) \
             if h * d <= trunc else Series.zero(trunc)
-        sides = {"closed": closed, "enumeration": _g_counting_gf(gspec, trunc)}
+        sides = {"closed": closed, "enumeration": refined_gf(gspec, trunc)}
     elif identity_id == "g-binomial-r2":
         d, k, h, s = p["d"], p["k"], p["h"], p["s"]
         gspec = ClassSpec("Gset", d=d, k=k, r=2, h=h, s=s)
         e = h * d + k * (h * h - h) // 2
         closed = monomial(e, (), 1, trunc) * gaussian(s, h, k, trunc) \
             if e <= trunc else Series.zero(trunc)
-        sides = {"closed": closed, "enumeration": _g_counting_gf(gspec, trunc)}
+        sides = {"closed": closed, "enumeration": refined_gf(gspec, trunc)}
     elif identity_id == "g-closed-r2":
         k, h, s = p["k"], p["h"], p["s"]
         e = k * (h * h - h) // 2

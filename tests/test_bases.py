@@ -1,14 +1,19 @@
 """Basis sets, greedy decomposition, uniqueness, residue shifts."""
 
+import functools
 import itertools
+from collections import Counter
 
 import pytest
 
 from conftest import P, op, op_set
 from sepclass import (ClassSpec, KindMismatchError, NotAMemberError,
-                      brute_force_decompositions, decompose, enumerate_basis,
-                      enumerate_members, is_basis_member, is_member,
-                      reconstruct, residue_shift)
+                      Partition, all_overpartitions, all_partitions,
+                      basis_gf, brute_force_decompositions, decompose,
+                      enumerate_basis, enumerate_members, is_basis_member,
+                      is_member, load_grid, reconstruct, residue_shift)
+
+GRID_SPECS = load_grid()[1]
 
 BP_1232 = [
     (1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1), (4, 2, 1, 1), (4, 2, 2, 1),
@@ -244,3 +249,42 @@ class TestLastConventionShiftBijection:
                     lifted.add(Overpartition(o.parts + ((1, True),),
                                              spec.convention))
                 assert lifted == set(over_bottom)
+
+
+@functools.lru_cache(maxsize=None)
+def _universe(convention, max_weight):
+    """Every partition (convention None) or overpartition of weight at
+    most max_weight."""
+    if convention is None:
+        return [Partition(p) for n in range(max_weight + 1)
+                for p in all_partitions(n)]
+    return [o for n in range(max_weight + 1)
+            for o in all_overpartitions(n, convention)]
+
+
+def _filtered_basis(spec, m, max_weight):
+    """The m-part basis elements of weight <= max_weight by the filter
+    route: the universe kept by is_basis_member, in enumerate_basis's
+    decreasing order."""
+    found = [u for u in _universe(spec.convention, max_weight)
+             if len(u) == m and is_basis_member(spec, u)]
+    if spec.is_overpartition_class:
+        return sorted(found, key=lambda o: tuple((-g, v) for g, v in o.parts))
+    return sorted(found, key=lambda p: tuple(-x for x in p.parts))
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=str)
+class TestBasisWalkAgainstFilter:
+    """The bottom-up basis walk against the is_basis_member filter of the
+    whole universe, on every grid spec."""
+
+    def test_enumerate_basis_in_filter_order(self, spec):
+        for m in range(1, 13):
+            assert enumerate_basis(spec, m, max_weight=12) == \
+                _filtered_basis(spec, m, 12)
+
+    def test_basis_gf_equals_filtered_tally(self, spec):
+        for m in range(1, 13):
+            tally = Counter((u.weight, spec.marker_exponents(u))
+                            for u in _filtered_basis(spec, m, 12))
+            assert basis_gf(spec, m, 12).terms == tally

@@ -78,6 +78,29 @@ class TestBasis:
         code, _, _ = run(["basis", "--class", "Fbar", "--parts", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        [*P_ARGS, "--parts", "1100", "--max-weight", "1100"],
+        ["--class", "Fbar", "--parts", "3", "--max-weight", "-5"]])
+    def test_parts_and_max_weight_guardrail(self, argv):
+        code, out, err = run(["basis", *argv])
+        assert code == 2
+        assert out == b""
+        assert b"error" in err
+
+    def test_long_chains_need_no_recursion(self):
+        out = ok(["basis", "--class", "Lbar", "--parts", "1100",
+                  "--max-weight", "1100", "--max-trunc", "2000"])
+        assert out.splitlines() == [
+            "(" + ",".join(["1"] * 1100) + ")",
+            "(" + ",".join(["1"] * 1099) + ",1~)"]
+
+    def test_gset_has_no_basis(self):
+        code, _, err = run(["basis", "--class", "Gset", "--d", "1", "--k",
+                            "2", "--r", "2", "--h", "1", "--s", "2",
+                            "--parts", "2"])
+        assert code == 2
+        assert b"no basis" in err
+
 
 class TestSeries:
     def test_routes_agree(self):
