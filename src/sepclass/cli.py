@@ -28,6 +28,10 @@ from .theorems import (VerificationReport, basis_driven_gf, check_identity,
 
 DEFAULT_MAX_TRUNC = 200
 
+# the oracle walk visits every member of weight at most N once, about
+# 2.5 us a member on one core of a 2-core VM; a longer walk is refused
+ORACLE_MAX_MEMBERS = 2_000_000
+
 
 class CliError(Exception):
     """Argument or validation failure (exit code 2)."""
@@ -226,6 +230,23 @@ def _check_trunc(args, value, flag="--trunc"):
             f"{args.max_trunc} (raise it with --max-trunc)")
 
 
+def _check_oracle_cost(spec, trunc):
+    """Refuse an oracle walk over more than ORACLE_MAX_MEMBERS members.
+
+    The closed route counts them first: its series summed over every
+    weight up to trunc and every marker.  A Gset is tallied from its own
+    finite enumeration, not the walk.
+    """
+    if spec.kind == "Gset":
+        return
+    members = sum(closed_form_gf(spec, trunc).terms.values())
+    if members > ORACLE_MAX_MEMBERS:
+        raise CliError(
+            f"the oracle would visit {members} members of {spec.label()} "
+            f"of weight <= {trunc}, more than its limit of "
+            f"{ORACLE_MAX_MEMBERS}")
+
+
 def _parse_obj(text, spec):
     try:
         data = json.loads(text)
@@ -287,6 +308,7 @@ def read_golden(spec, trunc, root=None):
 def _cmd_count(args, out):
     spec = _spec_from_args(args)
     _check_trunc(args, args.n, "--n")
+    _check_oracle_cost(spec, args.n)
     # the oracle's tally at weight n, summed over the markers; no objects
     out.write(emit(args.format, refined_gf(spec, args.n).coefficient(args.n)))
     return 0
@@ -295,6 +317,7 @@ def _cmd_count(args, out):
 def _cmd_list(args, out):
     spec = _spec_from_args(args)
     _check_trunc(args, args.n, "--n")
+    _check_oracle_cost(spec, args.n)
     out.write(emit(args.format, enumerate_members(spec, args.n)))
     return 0
 
@@ -314,6 +337,8 @@ def _cmd_basis(args, out):
 def _cmd_series(args, out):
     spec = _spec_from_args(args)
     _check_trunc(args, args.trunc)
+    if args.route == "oracle":
+        _check_oracle_cost(spec, args.trunc)
     route = {"oracle": refined_gf, "basis": basis_driven_gf,
              "closed": closed_form_gf}[args.route]
     out.write(emit(args.format, route(spec, args.trunc)))
@@ -343,6 +368,8 @@ def _cmd_verify(args, out):
             trunc = args.trunc
         _check_trunc(args, trunc)
         jobs = [(spec, trunc) for spec in specs]
+    for spec, n in jobs:
+        _check_oracle_cost(spec, n)
     reports = []
     all_match = True
     for spec, n in jobs:

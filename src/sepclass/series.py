@@ -1,28 +1,202 @@
 """Truncated formal power series in q with optional marker variables.
 
-Coefficients are exact Python integers.  A series is a sparse map from
-(q_exponent, marker_exponents) to a nonzero coefficient; everything with
-q-exponent above the truncation order, or a marker exponent above its cap,
-is discarded.  Within those bounds all arithmetic is exact.
+Coefficients are exact integers.  A series is stored by marker slices: a
+dict ``{marks: packed}`` from a tuple of marker exponents to one Python
+int that holds the q-polynomial of that slice by Kronecker substitution,
+W bits per coefficient, the coefficient of q^i in bits [W*i, W*(i+1)).
+Terms with q-exponent above the truncation order N, or a marker exponent
+above its cap (N unless given), are discarded.
+
+Packed form.  A slice is the residue of P(2^W) modulo M = 2^(W*(N+1)), a
+nonnegative int below M.  Multiplying by q^e is a shift by W*e bits,
+truncation is ``& (M - 1)``, ``+``/``-`` are int additions and ``*`` is
+one big-int product per pair of slices, which CPython computes in C
+(Kronecker substitution; Schoenhage 1982, Harvey arXiv:0712.4046).
+Dividing by 1 - q^e is one product with the packed geometric series.
+These are ring operations modulo M, so digits may carry while a result
+is built; a series reads back exactly once its own coefficients lie in
+[-2^(W-1), 2^(W-1)).  Digits are read as signed values (``_unpack``).
+``terms``, ``sorted_terms()``, ``coefficient()`` and ``to_json_dict()``
+are the boundary: the unpacked ``{(q, marks): coeff}`` view is built once
+per series and cached.
+
+Digit width.  Write p(N) for the number of partitions of N, pbar(N) for
+the number of overpartitions, and A <= B for "coefficientwise at most".
+With P = 1/(q;q)_oo and Pbar = (-q;q)_oo/(q;q)_oo:
+
+1. a Gaussian polynomial, 1/(q^k;q^k)_m and |(q^k;q^k)_m| are <= P, so
+   their coefficients are at most p(N);
+2. sum_i q^(rk(i^2-i)/2) [s, i]_{q^rk} = prod_{j<s} (1 + q^(rkj)) is
+   <= 2(-q;q)_oo, so the even-i and odd-i halves of ``g_poly``, and |G|,
+   are <= 2 Pbar, with coefficients at most 2 pbar(N);
+3. a lemma term of ``theorems`` (a monomial times two of the above) is
+   <= 2 P Pbar, and one marker slice of B_m sums at most 2(N+1) of them;
+4. the assembly adds at most N+1 products B_m[marks] / (q^k;q^k)_m and
+   the constant 1 into one marker slice;
+5. an oracle or basis tally counts distinct objects: at most pbar(N).
+
+So every coefficient the library builds at order N is at most
+B(N) = 4(N+1)^2 [q^N] P^2 Pbar + 1 in absolute value (the coefficients of
+P^2 Pbar never decrease, so [q^N] bounds every [q^n], n <= N), and the
+library width is the least multiple of 8 above the bit length of B(N)
+(``_bounds``; 40 bits at N=25, 72 at N=100, 104 at N=200).  A series
+built from given terms, or by arithmetic on other series, carries an
+upper bound on its coefficients and is widened before the bound could
+reach 2^(W-1), so nothing wraps.  ``_WIDTH`` fixes one width instead;
+then a bound that does not fit raises OverflowError.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 class ShapeMismatchError(ValueError):
     """Two series with different truncation order, markers or caps."""
 
 
+# bits per coefficient for every series; None derives the width from the
+# coefficient bounds.  A fixed width (a multiple of 8) exists for tests of
+# the overflow checks.
+_WIDTH = None
+
+
+@lru_cache(maxsize=256)
+def _bounds(trunc):
+    """(p(N), pbar(N), B(N)) of the module docstring, for N = trunc."""
+    coeffs = [1] + [0] * trunc
+
+    def divide(start, step):
+        # multiply by 1/prod (1 - q^j) over j = start, start + step, ...
+        for j in range(start, trunc + 1, step):
+            for n in range(j, trunc + 1):
+                coeffs[n] += coeffs[n - j]
+    divide(1, 1)
+    p = coeffs[trunc]
+    divide(1, 2)            # Pbar = P / (q; q^2)_oo
+    pbar = coeffs[trunc]
+    divide(1, 1)
+    divide(1, 1)            # P^2 Pbar
+    return p, pbar, 4 * (trunc + 1) ** 2 * coeffs[trunc] + 1
+
+
+def _width(bound, trunc=None):
+    """Digit width (a multiple of 8) for coefficients of absolute value at
+    most bound, and at least the library width of trunc when given."""
+    need = (bound.bit_length() + 8) // 8 * 8
+    if _WIDTH is not None:
+        if need > _WIDTH:
+            raise OverflowError(
+                f"coefficients up to {bound} need {need}-bit digits; "
+                f"the width is fixed at {_WIDTH} bits")
+        return _WIDTH
+    if trunc is not None:
+        need = max(need, _width(_bounds(trunc)[2]))
+    return need
+
+
+# caches of packed q-polynomials at the library width of one truncation
+# order; a call at another order (or width) empties them first
+_gauss_cache = {}       # (A, B, k, trunc) -> [A, B]_{q^k}
+_g_cache = {}           # (k, r, h, s) -> (need, G_{k,r}(h, s) to q^need)
+_inv_poch_cache = {}    # k -> [1/(q^k; q^k)_m for m = 0, 1, ...]
+_cache_order = None     # (trunc, _WIDTH, width, mask) the caches hold
+
+
+def packing(trunc):
+    """(width, mask) of the library's packed polynomials at order trunc."""
+    global _cache_order
+    if _cache_order is None or _cache_order[:2] != (trunc, _WIDTH):
+        for cache in (_gauss_cache, _g_cache, _inv_poch_cache):
+            cache.clear()
+        width = _width(_bounds(trunc)[2])
+        _cache_order = (trunc, _WIDTH, width, (1 << width * (trunc + 1)) - 1)
+    return _cache_order[2], _cache_order[3]
+
+
+def _low_digit(x, width):
+    """Index of the lowest nonzero digit of a nonzero packed int."""
+    return ((x & -x).bit_length() - 1) // width
+
+
+def _span(x, width):
+    """Number of digits from the lowest to the highest nonzero one."""
+    return (x.bit_length() - 1) // width - _low_digit(x, width) + 1
+
+
+def mul_packed(a, b, width, trunc):
+    """Packed a*b truncated after q^trunc; low zero digits are shifted off
+    first, so the product is only as long as the part that survives."""
+    if not a or not b:
+        return 0
+    lo_a, lo_b = _low_digit(a, width), _low_digit(b, width)
+    n = trunc + 1 - lo_a - lo_b
+    if n <= 0:
+        return 0
+    keep = (1 << width * n) - 1
+    prod = ((a >> width * lo_a) & keep) * ((b >> width * lo_b) & keep)
+    return (prod & keep) << width * (lo_a + lo_b)
+
+
+def _geometric(e, width, trunc):
+    """Packed 1/(1 - q^e) = 1 + q^e + q^2e + ... up to q^trunc."""
+    if e > trunc:
+        return 1
+    step = width * e
+    return ((1 << step * (trunc // e + 1)) - 1) // ((1 << step) - 1)
+
+
+def _unpack(x, width, trunc):
+    """(exponent, coefficient) pairs of a packed residue, every digit read
+    as a signed value in [-2^(width-1), 2^(width-1))."""
+    if not x:
+        return []
+    size = width // 8
+    lo = _low_digit(x, width)
+    # up to one digit above the highest nonzero one, which takes its borrow
+    count = min((x.bit_length() - 1) // width + 2, trunc + 1) - lo
+    raw = (x >> width * lo).to_bytes(size * count, "little")
+    half, base = 1 << (width - 1), 1 << width
+    out = []
+    carry = 0
+    for i in range(count):
+        d = int.from_bytes(raw[i * size:(i + 1) * size], "little") + carry
+        carry = 1 if d >= half else 0
+        if carry:
+            d -= base
+        if d:
+            out.append((lo + i, d))
+    return out
+
+
+def _digit(x, width, q):
+    """The signed coefficient of q^q in a packed residue."""
+    shift = width * q
+    d = (x >> shift) & ((1 << width) - 1)
+    if q:
+        d += (x >> (shift - 1)) & 1      # borrow of a negative lower part
+    return d - (1 << width) if d >> (width - 1) else d
+
+
+def _pack(pairs, width, mask):
+    """Packed residue of (exponent, coefficient) pairs."""
+    return sum(c << width * q for q, c in pairs) & mask
+
+
 class Series:
-    """Sparse truncated power series with bigint coefficients.
+    """Truncated power series with exact integer coefficients, packed by
+    marker slice (see the module docstring).
 
     ``markers`` is a tuple of variable names (e.g. ``("mu", "nu")``); each
-    term key is ``(q_exp, marks)`` with ``marks`` a tuple of the same length.
-    Marker caps default to the truncation order, which is always enough here
-    because every marked object contributes at least 1 to the weight.
+    term key is ``(q_exp, marks)`` with ``marks`` a tuple of the same
+    length.  Marker caps default to the truncation order, which is always
+    enough here because every marked object contributes at least 1 to the
+    weight.  ``width`` is the digit width of ``slices`` and ``bound`` an
+    upper bound on the absolute value of every coefficient.
     """
 
-    __slots__ = ("trunc", "markers", "caps", "terms")
+    __slots__ = ("trunc", "markers", "caps", "width", "bound", "slices",
+                 "_terms")
 
     def __init__(self, trunc, markers=(), caps=None, terms=None):
         if trunc < 0:
@@ -33,7 +207,7 @@ class Series:
         caps = tuple(caps)
         if len(caps) != len(markers):
             raise ValueError("one cap per marker required")
-        clean = {}
+        by_marks = {}
         if terms:
             for (q, marks), coeff in terms.items():
                 marks = tuple(marks)
@@ -45,11 +219,32 @@ class Series:
                     continue
                 if q < 0 or any(m < 0 for m in marks):
                     raise ValueError("negative exponent in term")
-                clean[(q, marks)] = coeff
+                by_marks.setdefault(marks, []).append((q, coeff))
+        bound = max((abs(c) for pairs in by_marks.values()
+                     for _, c in pairs), default=0)
+        width = _width(bound, trunc)
+        mask = (1 << width * (trunc + 1)) - 1
+        slices = {}
+        for marks, pairs in by_marks.items():
+            packed = _pack(pairs, width, mask)
+            if packed:
+                slices[marks] = packed
+        self._set(trunc, markers, caps, width, bound, slices)
+
+    def _set(self, trunc, markers, caps, width, bound, slices):
         self.trunc = trunc
         self.markers = markers
         self.caps = caps
-        self.terms = clean
+        self.width = width
+        self.bound = bound
+        self.slices = slices
+        self._terms = None
+
+    def _like(self, width, bound, slices):
+        """A series of this shape holding the given packed slices."""
+        out = object.__new__(Series)
+        out._set(self.trunc, self.markers, self.caps, width, bound, slices)
+        return out
 
     # -- construction helpers ------------------------------------------------
 
@@ -62,8 +257,20 @@ class Series:
         m = (0,) * len(tuple(markers))
         return cls(trunc, markers, caps, {(0, m): 1})
 
+    @classmethod
+    def from_slices(cls, trunc, markers, slices, bound=None):
+        """A series from slices packed at the library width of trunc (as
+        ``packing`` gives it); ``bound`` defaults to B(trunc)."""
+        markers = tuple(markers)
+        out = object.__new__(cls)
+        out._set(trunc, markers, (trunc,) * len(markers),
+                 packing(trunc)[0],
+                 _bounds(trunc)[2] if bound is None else bound,
+                 {marks: x for marks, x in slices.items() if x})
+        return out
+
     def is_zero(self):
-        return not self.terms
+        return not self.slices
 
     def same_shape(self, other):
         return (self.trunc == other.trunc and self.markers == other.markers
@@ -76,64 +283,87 @@ class Series:
                 f"caps={self.caps}) vs (N={other.trunc}, "
                 f"markers={other.markers}, caps={other.caps})")
 
+    def slices_at(self, width):
+        """The slices repacked at a digit width no smaller than needed."""
+        if width == self.width:
+            return self.slices
+        mask = (1 << width * (self.trunc + 1)) - 1
+        return {marks: _pack(_unpack(x, self.width, self.trunc), width, mask)
+                for marks, x in self.slices.items()}
+
+    def _width_for(self, bound, other=None):
+        """Width of a result bounded by bound, no narrower than the
+        operands."""
+        width = _width(bound)
+        if _WIDTH is None:
+            width = max(width, self.width, other.width if other else 0)
+        return width
+
     # -- ring operations -----------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return self.same_shape(other) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.trunc, self.markers, self.caps,
-                     frozenset(self.terms.items())))
+        if not self.same_shape(other):
+            return False
+        if self.width == other.width:
+            return self.slices == other.slices
+        return self.terms == other.terms
 
     def __add__(self, other):
         self._require_shape(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            total = terms.get(key, 0) + coeff
+        bound = self.bound + other.bound
+        width = self._width_for(bound, other)
+        mask = (1 << width * (self.trunc + 1)) - 1
+        slices = dict(self.slices_at(width))
+        for marks, x in other.slices_at(width).items():
+            total = (slices.get(marks, 0) + x) & mask
             if total:
-                terms[key] = total
+                slices[marks] = total
             else:
-                terms.pop(key, None)
-        out = Series(self.trunc, self.markers, self.caps)
-        out.terms = terms
-        return out
+                slices.pop(marks, None)
+        return self._like(width, bound, slices)
 
     def __neg__(self):
-        out = Series(self.trunc, self.markers, self.caps)
-        out.terms = {key: -c for key, c in self.terms.items()}
-        return out
+        mask = (1 << self.width * (self.trunc + 1)) - 1
+        return self._like(self.width, self.bound,
+                          {marks: -x & mask
+                           for marks, x in self.slices.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        trunc = self.trunc
         if isinstance(other, int):
-            out = Series(self.trunc, self.markers, self.caps)
+            bound = self.bound * abs(other)
+            width = self._width_for(bound)
+            mask = (1 << width * (trunc + 1)) - 1
+            slices = {}
             if other:
-                out.terms = {key: c * other for key, c in self.terms.items()}
-            return out
+                for marks, x in self.slices_at(width).items():
+                    slices[marks] = x * other & mask
+            return self._like(width, bound, slices)
         self._require_shape(other)
-        trunc, caps = self.trunc, self.caps
-        terms = {}
-        for (q1, m1), c1 in self.terms.items():
-            for (q2, m2), c2 in other.terms.items():
-                q = q1 + q2
-                if q > trunc:
-                    continue
+        # a coefficient of the product sums at most min(terms) products
+        count = min(sum(_span(x, self.width) for x in self.slices.values()),
+                    sum(_span(x, other.width) for x in other.slices.values()))
+        bound = self.bound * other.bound * count
+        width = self._width_for(bound, other)
+        mask = (1 << width * (trunc + 1)) - 1
+        caps = self.caps
+        slices = {}
+        right = other.slices_at(width).items()
+        for m1, x1 in self.slices_at(width).items():
+            for m2, x2 in right:
                 marks = tuple(a + b for a, b in zip(m1, m2))
                 if any(m > c for m, c in zip(marks, caps)):
                     continue
-                key = (q, marks)
-                total = terms.get(key, 0) + c1 * c2
-                if total:
-                    terms[key] = total
-                else:
-                    terms.pop(key, None)
-        out = Series(trunc, self.markers, caps)
-        out.terms = terms
-        return out
+                prod = mul_packed(x1, x2, width, trunc)
+                if prod:
+                    slices[marks] = slices.get(marks, 0) + prod
+        slices = {marks: x & mask for marks, x in slices.items() if x & mask}
+        return self._like(width, bound, slices)
 
     __rmul__ = __mul__
 
@@ -148,62 +378,73 @@ class Series:
         marks = tuple(marks)
         if len(marks) != len(self.markers):
             raise ValueError("marker arity mismatch")
-        if q_exp <= 0 and all(m <= 0 for m in marks):
+        if q_exp < 0 or any(m < 0 for m in marks):
+            raise ValueError("negative exponent in divisor")
+        if q_exp == 0 and not any(marks):
             raise ValueError("non-unit divisor required (zero exponents)")
-        terms = {}
         trunc, caps = self.trunc, self.caps
-        for (q, ms), coeff in self.terms.items():
-            j = 0
-            while True:
-                qq = q + j * q_exp
-                if qq > trunc:
-                    break
-                mm = tuple(a + j * b for a, b in zip(ms, marks))
-                if any(m > c for m, c in zip(mm, caps)):
-                    break
-                key = (qq, mm)
-                total = terms.get(key, 0) + coeff
-                if total:
-                    terms[key] = total
-                else:
-                    terms.pop(key, None)
-                if q_exp == 0 and all(m == 0 for m in marks):
-                    break
-                j += 1
-        out = Series(trunc, self.markers, caps)
-        out.terms = terms
-        return out
+        # the largest power of the divisor's monomial inside the bounds
+        steps = [trunc // q_exp] if q_exp else []
+        steps += [c // m for m, c in zip(marks, caps) if m]
+        top = min(steps)
+        bound = self.bound * (top + 1)
+        width = self._width_for(bound)
+        mask = (1 << width * (trunc + 1)) - 1
+        if not any(marks):
+            geom = _geometric(q_exp, width, trunc)
+            slices = {ms: mul_packed(x, geom, width, trunc)
+                      for ms, x in self.slices_at(width).items()}
+        else:
+            slices = {}
+            for ms, x in self.slices_at(width).items():
+                for j in range(top + 1):
+                    mm = tuple(a + j * b for a, b in zip(ms, marks))
+                    if any(m > c for m, c in zip(mm, caps)):
+                        break
+                    slices[mm] = slices.get(mm, 0) + \
+                        (x << width * j * q_exp)
+        slices = {ms: x & mask for ms, x in slices.items() if x & mask}
+        return self._like(width, bound, slices)
 
     # -- queries -------------------------------------------------------------
 
+    def _pairs(self):
+        for marks, x in self.slices.items():
+            for q, c in _unpack(x, self.width, self.trunc):
+                yield (q, marks), c
+
+    @property
+    def terms(self):
+        """The unpacked view ``{(q, marks): coeff}``, built once."""
+        if self._terms is None:
+            self._terms = dict(self._pairs())
+        return self._terms
+
     def coefficient(self, q_exp, marks=None):
         """Coefficient of one term, or the sum over all marks if marks is None."""
+        if not 0 <= q_exp <= self.trunc:
+            return 0
         if marks is not None:
-            return self.terms.get((q_exp, tuple(marks)), 0)
-        return sum(c for (q, _), c in self.terms.items() if q == q_exp)
-
-    def q_profile(self):
-        """Map q_exp -> total coefficient with every marker set to 1."""
-        out = {}
-        for (q, _), coeff in self.terms.items():
-            out[q] = out.get(q, 0) + coeff
-        return {q: c for q, c in out.items() if c}
+            x = self.slices.get(tuple(marks), 0)
+            return _digit(x, self.width, q_exp) if x else 0
+        return sum(_digit(x, self.width, q_exp)
+                   for x in self.slices.values())
 
     def collapse_markers(self):
         """Forget the markers, producing the plain counting series."""
-        out = Series(self.trunc)
-        terms = {}
-        for (q, _), coeff in self.terms.items():
-            total = terms.get((q, ()), 0) + coeff
-            if total:
-                terms[(q, ())] = total
-            else:
-                terms.pop((q, ()), None)
-        out.terms = terms
+        bound = self.bound * max(len(self.slices), 1)
+        width = self._width_for(bound)
+        mask = (1 << width * (self.trunc + 1)) - 1
+        total = sum(self.slices_at(width).values()) & mask
+        out = object.__new__(Series)
+        out._set(self.trunc, (), (), width, bound,
+                 {(): total} if total else {})
         return out
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        # without a cached view, unpack straight into the sorted list
+        return sorted(self._pairs() if self._terms is None
+                      else self._terms.items())
 
     # -- serialization -------------------------------------------------------
 
@@ -228,7 +469,7 @@ class Series:
                    tuple(data.get("caps") or ()) or None, terms)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.slices:
             return "0"
         names = ("q",) + self.markers
         bits = []
@@ -257,44 +498,30 @@ def monomial(q_exp, marks, coeff, trunc, markers=(), caps=None):
     return Series(trunc, markers, caps, {(q_exp, marks): coeff})
 
 
-# -- raw q-polynomial helpers (dict exp -> coeff), used to keep the q-binomial
-# machinery free of per-term Series overhead --------------------------------
-
-def _poly_mul(d1, d2, trunc):
-    out = {}
-    for e1, c1 in d1.items():
-        for e2, c2 in d2.items():
-            e = e1 + e2
-            if e > trunc:
-                continue
-            total = out.get(e, 0) + c1 * c2
-            if total:
-                out[e] = total
-            else:
-                out.pop(e, None)
-    return out
+def _wrap(packed, trunc, markers, bound):
+    """A library polynomial in q alone as a series with markers."""
+    markers = tuple(markers)
+    return Series.from_slices(trunc, markers,
+                              {(0,) * len(markers): packed}, bound)
 
 
-# (A, B, k, trunc) -> [A, B]_k, for one truncation order at a time
-_gauss_cache = {}
+# -- packed q-machinery ------------------------------------------------------
 
-
-def _gauss_terms(A, B, k, trunc):
-    """Gaussian polynomial [A, B]_k as a dict, via the Pascal recurrence
+def gauss_packed(A, B, k, trunc):
+    """Packed Gaussian polynomial [A, B]_{q^k}, via the Pascal recurrence
     [a, b] = [a-1, b] + q^{k(a-b)} [a-1, b-1].
 
     The cells are filled from an explicit stack in the order a recursion
     would visit them, so A is not limited by the interpreter's recursion
-    depth.  A call with a new truncation order empties the cache first.
+    depth.  One cell is one shift and one addition.
     """
     if A < 0 or B < 0 or B > A:
-        return {}
+        return 0
     if B == 0 or B == A:
-        return {0: 1}
+        return 1
+    width, mask = packing(trunc)
     cache = _gauss_cache
-    if cache and next(iter(cache))[3] != trunc:
-        cache.clear()
-    elif (A, B, k, trunc) in cache:
+    if (A, B, k, trunc) in cache:
         return cache[(A, B, k, trunc)]
     stack = [(A, B)]
     while stack:
@@ -303,8 +530,8 @@ def _gauss_terms(A, B, k, trunc):
             stack.pop()
             continue
         # both neighbours satisfy 0 <= b' <= a-1; the edges are 1
-        left = {0: 1} if b == a - 1 else cache.get((a - 1, b, k, trunc))
-        right = {0: 1} if b == 1 else cache.get((a - 1, b - 1, k, trunc))
+        left = 1 if b == a - 1 else cache.get((a - 1, b, k, trunc))
+        right = 1 if b == 1 else cache.get((a - 1, b - 1, k, trunc))
         if left is None or right is None:
             if left is None:
                 stack.append((a - 1, b))
@@ -313,44 +540,71 @@ def _gauss_terms(A, B, k, trunc):
             continue
         stack.pop()
         shift = k * (a - b)
-        out = dict(left)
         if shift <= trunc:
-            for e, c in right.items():
-                e2 = e + shift
-                if e2 > trunc:
-                    continue
-                total = out.get(e2, 0) + c
-                if total:
-                    out[e2] = total
-                else:
-                    out.pop(e2, None)
-        cache[(a, b, k, trunc)] = out
+            left = (left + (right << width * shift)) & mask
+        cache[(a, b, k, trunc)] = left
     return cache[(A, B, k, trunc)]
 
 
-def _wrap_poly(d, trunc, markers, caps=None):
-    markers = tuple(markers)
-    zero_marks = (0,) * len(markers)
-    return Series(trunc, markers, caps,
-                  {(e, zero_marks): c for e, c in d.items()})
+def g_packed(k, r, h, s, trunc, need=None):
+    """Packed G_{k,r}(h, s) (see ``g_poly``) up to q^need at least (need
+    defaults to trunc): the even-i and the odd-i terms are summed apart and
+    subtracted once.  Cached at one truncation order with the largest need
+    computed so far; a caller that needs less truncates the product it
+    forms anyway."""
+    width, mask = packing(trunc)
+    need = trunc if need is None else need
+    done, g = _g_cache.get((k, r, h, s), (-1, 0))
+    if done >= need:
+        return g
+    halves = [0, 0]
+    for i in range(s + 1):
+        shift = r * k * (i * i - i) // 2
+        if shift > need:
+            break
+        row = h - r * i + s - 1
+        if row < s - 1:
+            break
+        prod = mul_packed(gauss_packed(s, i, r * k, trunc),
+                          gauss_packed(row, s - 1, k, trunc),
+                          width, need - shift)
+        halves[i % 2] += prod << width * shift
+    g = (halves[0] - halves[1]) & mask
+    _g_cache[(k, r, h, s)] = (need, g)
+    return g
+
+
+def inv_pochhammer(k, m, trunc):
+    """Packed 1/(q^k; q^k)_m, each one the previous times 1/(1 - q^{km});
+    cached per k at one truncation order."""
+    width, _ = packing(trunc)
+    table = _inv_poch_cache.setdefault(k, [1])
+    while len(table) <= m:
+        j = len(table)
+        prev = table[-1]
+        table.append(prev if k * j > trunc else mul_packed(
+            prev, _geometric(k * j, width, trunc), width, trunc))
+    return table[m]
 
 
 def pochhammer(k, n, trunc, markers=()):
     """The polynomial (q^k; q^k)_n = prod_{i=1}^{n} (1 - q^{ki}), truncated."""
     if k < 1:
         raise ValueError("k must be positive")
-    out = {0: 1}
+    width, mask = packing(trunc)
+    out = 1
     for i in range(1, n + 1):
-        out = _poly_mul(out, {0: 1, k * i: -1} if k * i <= trunc else {0: 1},
-                        trunc)
-    return _wrap_poly(out, trunc, markers)
+        if k * i <= trunc:
+            out = (out - (out << width * k * i)) & mask
+    return _wrap(out, trunc, markers, _bounds(trunc)[0])
 
 
 def gaussian(A, B, k, trunc, markers=()):
     """The q-binomial coefficient [A, B]_{q^k}; zero unless A >= B >= 0."""
     if k < 1:
         raise ValueError("k must be positive")
-    return _wrap_poly(_gauss_terms(A, B, k, trunc), trunc, markers)
+    return _wrap(gauss_packed(A, B, k, trunc), trunc, markers,
+                 _bounds(trunc)[0])
 
 
 def gaussian_by_division(A, B, k, trunc, markers=()):
@@ -377,27 +631,5 @@ def g_poly(k, r, h, s, trunc, markers=()):
     """
     if s < 1:
         raise ValueError("s must be positive")
-    total = {}
-    for i in range(s + 1):
-        shift = r * k * (i * i - i) // 2
-        if shift > trunc:
-            break
-        row = h - r * i + s - 1
-        if row < s - 1:
-            break
-        first = _gauss_terms(s, i, r * k, trunc)
-        second = _gauss_terms(row, s - 1, k, trunc)
-        if not first or not second:
-            continue
-        prod = _poly_mul(first, second, trunc)
-        sign = -1 if i % 2 else 1
-        for e, c in prod.items():
-            e2 = e + shift
-            if e2 > trunc:
-                continue
-            tot = total.get(e2, 0) + sign * c
-            if tot:
-                total[e2] = tot
-            else:
-                total.pop(e2, None)
-    return _wrap_poly(total, trunc, markers)
+    return _wrap(g_packed(k, r, h, s, trunc), trunc, markers,
+                 2 * _bounds(trunc)[1])

@@ -30,7 +30,8 @@ from importlib import resources
 
 from .bases import basis_polys
 from .objects import ClassSpec, refined_gf
-from .series import Series, g_poly, gaussian, monomial
+from .series import (Series, g_packed, g_poly, gauss_packed, gaussian,
+                     inv_pochhammer, monomial, mul_packed, packing)
 
 # ---------------------------------------------------------------------------
 # reports
@@ -65,24 +66,51 @@ class VerificationReport:
 
 def compare_routes(named_series, subject, trunc, started=None):
     """Build a report from named series; the first discrepancy is the
-    lexicographically least (q, marks) key where any two routes differ."""
+    lexicographically least (q, marks) key where any two routes differ.
+
+    Series of one shape and width are compared slice by slice: the lowest
+    set bit of ``a ^ b`` gives the first digit where two packed slices
+    differ.  Anything else is compared through the unpacked terms.
+    """
     names = tuple(named_series)
-    keys = set()
-    for s in named_series.values():
-        keys.update(s.terms)
-    disc = None
-    for key in sorted(keys):
-        coeffs = {name: named_series[name].terms.get(key, 0)
-                  for name in names}
-        if len(set(coeffs.values())) > 1:
-            q, marks = key
-            disc = {"q": q, "marks": list(marks),
-                    "coeffs": {name: str(c) for name, c in coeffs.items()}}
-            break
+    series = list(named_series.values())
+    first = series[0]
+    if all(s.same_shape(first) and s.width == first.width for s in series):
+        disc = _first_packed_difference(series)
+    else:
+        disc = _first_term_difference(series)
+    if disc is not None:
+        q, marks = disc
+        disc = {"q": q, "marks": list(marks),
+                "coeffs": {name: str(s.coefficient(q, marks))
+                           for name, s in zip(names, series)}}
     elapsed = (time.perf_counter() - started) if started else 0.0
     return VerificationReport(
         subject, trunc, names,
         "match" if disc is None else "mismatch", disc, elapsed)
+
+
+def _first_packed_difference(series):
+    width = series[0].width
+    best = None
+    for marks in set().union(*(s.slices for s in series)):
+        head, *rest = (s.slices.get(marks, 0) for s in series)
+        for other in rest:
+            diff = head ^ other
+            if diff:
+                q = ((diff & -diff).bit_length() - 1) // width
+                if best is None or (q, marks) < best:
+                    best = (q, marks)
+    return best
+
+
+def _first_term_difference(series):
+    views = [s.terms for s in series]
+    keys = set().union(*views)
+    for key in sorted(keys):
+        if len({view.get(key, 0) for view in views}) > 1:
+            return key
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -90,21 +118,27 @@ def compare_routes(named_series, subject, trunc, started=None):
 # ---------------------------------------------------------------------------
 
 def _assemble(poly, spec, trunc):
-    """1 + sum over m of poly(spec, m, trunc) / (q^k; q^k)_m, k the modulus.
+    """1 + sum over m and marks of B_m[marks] / (q^k; q^k)_m, k the modulus.
 
-    Horner-nested, (B_1 + (B_2 + (B_3 + ...)/(1-q^{3k}))/(1-q^{2k}))/(1-q^k),
-    so each m costs one division.  The m loop starts at the largest m whose
+    ``poly(spec, m, trunc)`` gives B_m as packed marker slices ``{marks:
+    int}`` at the library width (see ``series``).  Each slice is multiplied
+    once by the packed 1/(q^k; q^k)_m, which ``inv_pochhammer`` caches per
+    (k, trunc) as the previous one times 1/(1 - q^{km}); the same code
+    serves all eight classes.  The m loop ends at the largest m whose
     minimal basis weight fits under the truncation order (every part of a
     basis element is at least the least admissible bottom value).
     """
     k = spec.modulus
     min_part = 1 if spec.is_overpartition_class else spec.a
-    acc = Series.zero(trunc, spec.markers)
-    for m in range(trunc // min_part, 0, -1):
-        acc = acc + poly(spec, m, trunc)
-        if k * m <= trunc:
-            acc = acc.div_one_minus(k * m)
-    return Series.one(trunc, spec.markers) + acc
+    width, mask = packing(trunc)
+    out = {(0,) * len(spec.markers): 1}
+    for m in range(1, trunc // min_part + 1):
+        inverse = inv_pochhammer(k, m, trunc)
+        for marks, b in poly(spec, m, trunc).items():
+            out[marks] = out.get(marks, 0) + \
+                mul_packed(b, inverse, width, trunc)
+    return Series.from_slices(
+        trunc, spec.markers, {marks: x & mask for marks, x in out.items()})
 
 
 def basis_driven_gf(spec, trunc):
@@ -112,8 +146,10 @@ def basis_driven_gf(spec, trunc):
     walk of the basis chains (``basis_polys``), through the separability
     assembly."""
     polys = basis_polys(spec, trunc)
-    zero = Series.zero(trunc, spec.markers)
-    return _assemble(lambda spec, m, trunc: polys.get(m, zero), spec, trunc)
+    width, _ = packing(trunc)
+    return _assemble(
+        lambda spec, m, trunc: polys[m].slices_at(width) if m in polys
+        else {}, spec, trunc)
 
 
 def closed_form_gf(spec, trunc, theorem_id=None):
@@ -149,26 +185,49 @@ def basis_closed_form(formula_id, spec, m, trunc, s=None):
         raise ValueError("m must be >= 1")
     if formula_id not in _FORMULAS:
         raise ValueError(f"unknown basis formula id {formula_id!r}")
-    kind, fn = _FORMULAS[formula_id]
+    kind = _FORMULAS[formula_id][0]
     if spec.kind != kind:
         raise ValueError(f"{formula_id} applies to {kind}, not {spec.kind}")
+    if s is not None and not spec.is_overpartition_class:
+        raise ValueError(f"{formula_id} has no per-s slice")
+    return Series.from_slices(trunc, spec.markers,
+                              _closed_slices(formula_id, spec, m, trunc, s))
+
+
+def _closed_slices(formula_id, spec, m, trunc, s=None):
+    fn = _FORMULAS[formula_id][1]
     if not spec.is_overpartition_class:
-        if s is not None:
-            raise ValueError(f"{formula_id} has no per-s slice")
         return fn(spec, m, trunc)
     if s is not None:
         return fn(spec, m, s, trunc)
     return _over_total(fn, spec, m, trunc)
 
 
+# The lemma bodies below return B_m (or its per-s slice) as packed marker
+# slices {marks: int} at the library width of trunc; a term
+# q^e * marks * F * G is added as the product of F and G truncated after
+# q^(trunc - e), shifted up by e digits.
+
+def _add_term(total, marks, e, f, g, trunc):
+    width, _ = packing(trunc)
+    prod = mul_packed(f, g, width, trunc - e)
+    if prod:
+        total[marks] = total.get(marks, 0) + (prod << width * e)
+
+
+def _masked(total, trunc):
+    _, mask = packing(trunc)
+    return {marks: x & mask for marks, x in total.items() if x & mask}
+
+
 def _over_total(fn, spec, m, trunc):
     """Sum a per-(m, s) overpartition slice over the overline count s."""
-    total = Series.zero(trunc, spec.markers)
+    total = {}
     for s in range(m + 1):
         # no slice has a term below q^(m + (s^2-s)/2)
         if m + (s * s - s) // 2 > trunc:
             break
-        total = total + fn(spec, m, s, trunc)
+        total.update(fn(spec, m, s, trunc))     # the marks are (s,)
     return total
 
 
@@ -182,9 +241,9 @@ def _p_basis(spec, m, trunc, slices):
     Pprime, where the roles of a and b and of the two markers swap), and
     e = x*lo + y*hi + k(s^2 - s + cx*x + cy*y + cs*(s-1)).
     """
-    k, r, markers = spec.k, spec.r, spec.markers
+    k, r = spec.k, spec.r
     lo, hi = (spec.a, spec.b) if spec.kind == "P" else (spec.b, spec.a)
-    total = Series.zero(trunc, markers)
+    total = {}
     for row, col, cx, cy, cs in slices:
         for s in range(m + 1):
             # every exponent of this s is at least k(s-1)^2
@@ -198,87 +257,76 @@ def _p_basis(spec, m, trunc, slices):
                     k * (s * s - s + cx * x + cy * y + cs * (s - 1))
                 if e > trunc:
                     continue
-                gauss = gaussian(x + row, s + col, k, trunc, markers)
-                g = g_poly(k, r, h, s, trunc, markers) if s else \
-                    Series.one(trunc, markers)
-                if gauss.is_zero() or g.is_zero():
-                    continue
                 marks = (x, y) if spec.kind == "P" else (y, x)
-                total = total + \
-                    monomial(e, marks, 1, trunc, markers) * gauss * g
-    return total
+                _add_term(total, marks, e,
+                          gauss_packed(x + row, s + col, k, trunc),
+                          g_packed(k, r, h, s, trunc, trunc - e) if s else 1,
+                          trunc)
+    return _masked(total, trunc)
 
 
 def _br_total(spec, m, trunc):
     """Basis polynomial of R and Rr: the double sum over s, h of
     q^e [m-h, s]_{q^k} times [h+s, s]_{q^k} (R) or G_{k,r}(h, s+1) (Rr)."""
     a, b, c, k = spec.a, spec.b, spec.c, spec.k
-    markers = spec.markers
-    total = Series.zero(trunc, markers)
+    total = {}
     for s in range(m + 1):
         for h in range(m - s + 1):
             e = (m - h - s) * a + h * b + s * c + k * (s * s - s) // 2
             if e > trunc:
                 break
-            right = gaussian(m - h, s, k, trunc, markers)
-            left = gaussian(h + s, s, k, trunc, markers) if spec.kind == "R" \
-                else g_poly(k, spec.r, h, s + 1, trunc, markers)
-            if left.is_zero() or right.is_zero():
-                continue
-            total = total + \
-                monomial(e, (m - h - s, h, s), 1, trunc, markers) * \
-                left * right
-    return total
+            left = gauss_packed(h + s, s, k, trunc) if spec.kind == "R" \
+                else g_packed(k, spec.r, h, s + 1, trunc, trunc - e)
+            _add_term(total, (m - h - s, h, s), e, left,
+                      gauss_packed(m - h, s, k, trunc), trunc)
+    return _masked(total, trunc)
 
 
 def _bf_over_ms(spec, m, s, trunc):
-    markers = spec.markers
+    total = {}
     e = m + s * s - s
-    if e > trunc or m - s + 1 < s:
-        return Series.zero(trunc, markers)
-    return monomial(e, (s,), 1, trunc, markers) * \
-        gaussian(m - s + 1, s, 1, trunc, markers)
+    if e <= trunc:
+        _add_term(total, (s,), e, 1, gauss_packed(m - s + 1, s, 1, trunc),
+                  trunc)
+    return _masked(total, trunc)
 
 
 def _bf_run_ms(spec, m, s, trunc):
-    markers = spec.markers
+    total = {}
     e = m + (s * s - s) // 2
-    if e > trunc:
-        return Series.zero(trunc, markers)
-    return monomial(e, (s,), 1, trunc, markers) * \
-        g_poly(1, spec.r, m - s, s + 1, trunc, markers)
+    if e <= trunc:
+        _add_term(total, (s,), e, 1,
+                  g_packed(1, spec.r, m - s, s + 1, trunc, trunc - e), trunc)
+    return _masked(total, trunc)
 
 
 def _bl_over_ms(spec, m, s, trunc):
-    markers = spec.markers
-    total = Series.zero(trunc, markers)
+    total = {}
     for e, col in ((m + (s - 1) ** 2, s - 1), (m + s * s, s)):
         if e <= trunc:
-            total = total + monomial(e, (s,), 1, trunc, markers) * \
-                gaussian(m - s, col, 1, trunc, markers)
-    return total
+            _add_term(total, (s,), e, 1,
+                      gauss_packed(m - s, col, 1, trunc), trunc)
+    return _masked(total, trunc)
 
 
 def _bl_run_ms(spec, m, s, trunc, literal=False):
     """``literal`` adds the printed form's stray q^m to the overlined
     terms (see the erratum in the module docstring)."""
-    r, markers = spec.r, spec.markers
-    total = Series.zero(trunc, markers)
+    r = spec.r
+    total = {}
     if s == 0:
         if m <= r - 1 and m <= trunc:
-            total = total + monomial(m, (0,), 1, trunc, markers)
-        return total
+            _add_term(total, (0,), m, 1, 1, trunc)
+        return _masked(total, trunc)
     extra = (s * s - s) // 2 + (m if literal else 0)
     # (exponent, h) of the j = 0 term, then of j = 1 .. r-1 (zero for h < 0)
     terms = [(m + extra, m - s)] + \
         [(2 * m - j + extra, m - j - s) for j in range(1, min(r, m - s + 1))]
     for e, h in terms:
-        if e > trunc:
-            continue
-        g = g_poly(1, r, h, s, trunc, markers)
-        if not g.is_zero():
-            total = total + monomial(e, (s,), 1, trunc, markers) * g
-    return total
+        if e <= trunc:
+            _add_term(total, (s,), e, 1,
+                      g_packed(1, r, h, s, trunc, trunc - e), trunc)
+    return _masked(total, trunc)
 
 
 # (row, col, cx, cy, cs) slices of _p_basis; the smallest part of the
@@ -305,16 +353,16 @@ _FORMULAS = {
     "bl-run": ("Lr", _bl_run_ms),
 }
 
-# theorem id -> the B_m its closed form sums
+# theorem id -> the packed B_m its closed form sums
 _THEOREMS = {
-    kind: partial(basis_closed_form, formula_id)
+    kind: partial(_closed_slices, formula_id)
     for formula_id, kind in (
         ("bp-total", "P"), ("bpp-total", "Pprime"), ("br-total", "R"),
         ("brr-total", "Rr"), ("bf-over", "Fbar"), ("bf-run", "Fr"),
         ("bl-over", "Lbar"), ("bl-run", "Lr"))
 }
-_THEOREMS["Lr-literal"] = lambda spec, m, trunc: _over_total(
-    partial(_bl_run_ms, literal=True), spec, m, trunc)
+_THEOREMS["Lr-literal"] = partial(
+    _over_total, partial(_bl_run_ms, literal=True))
 
 
 # ---------------------------------------------------------------------------

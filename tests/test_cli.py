@@ -131,6 +131,41 @@ class TestSeries:
         assert code == 0
 
 
+class TestOracleCost:
+    @pytest.mark.parametrize("argv,members", [
+        (["count", "--class", "Fbar", "--n", "200"], 25928021918162330),
+        (["list", *P_ARGS, "--n", "80"], 11817428),
+        (["series", "--class", "Fbar", "--route", "oracle", "--trunc", "60"],
+         186462203),
+        (["verify", "--class", "R", "--a", "1", "--b", "2", "--c", "3",
+          "--k", "3", "--trunc", "70"], 5893620),
+        (["verify", "--trunc", "60"], 2334602)])
+    def test_long_walks_refused(self, argv, members):
+        code, out, err = run(argv)
+        assert code == 2
+        assert out == b""
+        assert f"would visit {members} members".encode() in err
+
+    def test_other_routes_not_limited(self):
+        ok(["series", "--class", "Fbar", "--route", "closed",
+            "--trunc", "60"])
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        members = sum(closed_form_gf(ClassSpec("P", a=1, b=2, k=2, r=1),
+                                     7).terms.values())
+        monkeypatch.setattr(cli, "ORACLE_MAX_MEMBERS", members)
+        assert ok(["count", *P_ARGS, "--n", "7"]).strip() == "11"
+        monkeypatch.setattr(cli, "ORACLE_MAX_MEMBERS", members - 1)
+        code, _, err = run(["count", *P_ARGS, "--n", "7"])
+        assert code == 2
+        assert f"would visit {members} members".encode() in err
+
+    def test_builtin_grid_within_limit(self):
+        _, specs = load_grid()
+        assert max(sum(closed_form_gf(spec, 25).terms.values())
+                   for spec in specs) <= cli.ORACLE_MAX_MEMBERS
+
+
 class TestDecompose:
     def test_partition(self):
         out = ok(["decompose", *P_ARGS, "--obj", "[5,2]",
