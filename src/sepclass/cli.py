@@ -234,17 +234,20 @@ def _check_oracle_cost(spec, trunc):
     """Refuse an oracle walk over more than ORACLE_MAX_MEMBERS members.
 
     The closed route counts them first: its series summed over every
-    weight up to trunc and every marker.  A Gset is tallied from its own
-    finite enumeration, not the walk.
+    weight up to trunc and every marker.  Returns that series, or None
+    for a Gset, which is tallied from its own finite enumeration, not the
+    walk.
     """
     if spec.kind == "Gset":
-        return
-    members = sum(closed_form_gf(spec, trunc).terms.values())
+        return None
+    closed = closed_form_gf(spec, trunc)
+    members = sum(closed.collapse_markers().terms.values())
     if members > ORACLE_MAX_MEMBERS:
         raise CliError(
             f"the oracle would visit {members} members of {spec.label()} "
             f"of weight <= {trunc}, more than its limit of "
             f"{ORACLE_MAX_MEMBERS}")
+    return closed
 
 
 def _parse_obj(text, spec):
@@ -368,13 +371,13 @@ def _cmd_verify(args, out):
             trunc = args.trunc
         _check_trunc(args, trunc)
         jobs = [(spec, trunc) for spec in specs]
-    for spec, n in jobs:
-        _check_oracle_cost(spec, n)
+    # the closed series that priced each oracle walk is its closed route
+    closed = [_check_oracle_cost(spec, n) for spec, n in jobs]
     reports = []
     all_match = True
-    for spec, n in jobs:
+    for (spec, n), closed_series in zip(jobs, closed):
         started = time.perf_counter()
-        routes = three_routes(spec, n)
+        routes = three_routes(spec, n, closed_series)
         report = compare_routes(routes, spec, n, started)
         reports.append(report)
         all_match = all_match and report.matched

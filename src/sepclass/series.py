@@ -306,9 +306,8 @@ class Series:
             return NotImplemented
         if not self.same_shape(other):
             return False
-        if self.width == other.width:
-            return self.slices == other.slices
-        return self.terms == other.terms
+        width = max(self.width, other.width)
+        return self.slices_at(width) == other.slices_at(width)
 
     def __add__(self, other):
         self._require_shape(other)
@@ -551,7 +550,10 @@ def g_packed(k, r, h, s, trunc, need=None):
     defaults to trunc): the even-i and the odd-i terms are summed apart and
     subtracted once.  Cached at one truncation order with the largest need
     computed so far; a caller that needs less truncates the product it
-    forms anyway."""
+    forms anyway.  The lemma bodies of ``theorems`` ask for each G first at
+    its largest need (their exponent e grows with m, and the assembly runs
+    m upwards), so one closed route computes each G once; a later route at
+    the same order may recompute one to a higher degree."""
     width, mask = packing(trunc)
     need = trunc if need is None else need
     done, g = _g_cache.get((k, r, h, s), (-1, 0))

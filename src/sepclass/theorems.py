@@ -65,20 +65,29 @@ class VerificationReport:
 
 
 def compare_routes(named_series, subject, trunc, started=None):
-    """Build a report from named series; the first discrepancy is the
-    lexicographically least (q, marks) key where any two routes differ.
+    """Build a report from named series of one shape; the first
+    discrepancy is the lexicographically least (q, marks) key where any
+    two routes differ.
 
-    Series of one shape and width are compared slice by slice: the lowest
-    set bit of ``a ^ b`` gives the first digit where two packed slices
-    differ.  Anything else is compared through the unpacked terms.
+    The series are compared slice by slice at the widest of their digit
+    widths: the lowest set bit of ``a ^ b`` gives the first digit where
+    two packed slices differ.
     """
     names = tuple(named_series)
     series = list(named_series.values())
-    first = series[0]
-    if all(s.same_shape(first) and s.width == first.width for s in series):
-        disc = _first_packed_difference(series)
-    else:
-        disc = _first_term_difference(series)
+    for s in series[1:]:
+        series[0]._require_shape(s)
+    width = max(s.width for s in series)
+    slices = [s.slices_at(width) for s in series]
+    disc = None
+    for marks in set().union(*slices):
+        head, *rest = (sl.get(marks, 0) for sl in slices)
+        for other in rest:
+            diff = head ^ other
+            if diff:
+                q = ((diff & -diff).bit_length() - 1) // width
+                if disc is None or (q, marks) < disc:
+                    disc = (q, marks)
     if disc is not None:
         q, marks = disc
         disc = {"q": q, "marks": list(marks),
@@ -88,29 +97,6 @@ def compare_routes(named_series, subject, trunc, started=None):
     return VerificationReport(
         subject, trunc, names,
         "match" if disc is None else "mismatch", disc, elapsed)
-
-
-def _first_packed_difference(series):
-    width = series[0].width
-    best = None
-    for marks in set().union(*(s.slices for s in series)):
-        head, *rest = (s.slices.get(marks, 0) for s in series)
-        for other in rest:
-            diff = head ^ other
-            if diff:
-                q = ((diff & -diff).bit_length() - 1) // width
-                if best is None or (q, marks) < best:
-                    best = (q, marks)
-    return best
-
-
-def _first_term_difference(series):
-    views = [s.terms for s in series]
-    keys = set().union(*views)
-    for key in sorted(keys):
-        if len({view.get(key, 0) for view in views}) > 1:
-            return key
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +435,14 @@ def check_identity(identity_id, params, trunc):
     return compare_routes(sides, subject, trunc, started)
 
 
-def three_routes(spec, trunc):
-    """The series of the three routes, keyed oracle, basis, closed."""
+def three_routes(spec, trunc, closed=None):
+    """The series of the three routes, keyed oracle, basis, closed; a
+    closed series already computed for (spec, trunc) can be passed in."""
     return {
         "oracle": refined_gf(spec, trunc),
         "basis": basis_driven_gf(spec, trunc),
-        "closed": closed_form_gf(spec, trunc),
+        "closed": closed if closed is not None
+        else closed_form_gf(spec, trunc),
     }
 
 

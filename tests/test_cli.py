@@ -160,6 +160,17 @@ class TestOracleCost:
         assert code == 2
         assert f"would visit {members} members".encode() in err
 
+    def test_verify_builds_the_closed_route_once(self, monkeypatch):
+        calls = []
+
+        def counted(spec, trunc, theorem_id=None):
+            calls.append(spec.label())
+            return closed_form_gf(spec, trunc, theorem_id)
+        monkeypatch.setattr(cli, "closed_form_gf", counted)
+        monkeypatch.setattr(theorems, "closed_form_gf", counted)
+        ok(["verify", "--class", "Fbar", "--trunc", "10"])
+        assert calls == ["Fbar"]
+
     def test_builtin_grid_within_limit(self):
         _, specs = load_grid()
         assert max(sum(closed_form_gf(spec, 25).terms.values())

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepclass import (ClassSpec, Series, check_identity, closed_form_gf,
-                      compare_routes, g_poly, monomial)
+from sepclass import (ClassSpec, Series, ShapeMismatchError, check_identity,
+                      closed_form_gf, compare_routes, g_poly, monomial)
 from sepclass import series as series_module
 
 # -- plain-dict reference: {(q, marks): coeff} with zero terms dropped -------
@@ -141,6 +141,21 @@ class TestWidth:
         assert square.width > big.width
         assert square.terms == {(q, ()): (q + 1) * 10 ** 40
                                 for q in range(11)}
+
+    def test_different_widths_compare_by_value(self):
+        narrow = monomial(2, (), -1, 10)
+        big = monomial(4, (), 2 ** 100, 10)
+        wide = narrow + big - big
+        assert wide.width > narrow.width
+        assert wide == narrow
+        assert compare_routes({"n": narrow, "w": wide}, {}, 10).matched
+        report = compare_routes({"n": narrow, "w": wide + big}, {}, 10)
+        assert report.first_discrepancy == {
+            "q": 4, "marks": [], "coeffs": {"n": "0", "w": str(2 ** 100)}}
+
+    def test_different_shapes_refused(self):
+        with pytest.raises(ShapeMismatchError):
+            compare_routes({"a": Series.one(10), "b": Series.one(11)}, {}, 10)
 
     def test_fixed_width_refuses_a_route(self, monkeypatch):
         # N=40 needs 46-bit digits; a fixed 16-bit width must not wrap

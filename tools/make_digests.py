@@ -4,7 +4,7 @@ per spec of the built-in verification grid, at truncation order 100.
 Each entry holds the SHA-256 of the canonical serialization of
 ``Series.to_json_dict()`` (``json.dumps(..., sort_keys=True,
 separators=(",", ":"))``, UTF-8), the number of terms and the total
-coefficient at q^N (summed over the markers).  ``tests/test_golden.py``
+coefficient at q^N (summed over the markers).  ``tests/test_digests.py``
 checks the closed route against the file.
 
 Run from the checkout root:
