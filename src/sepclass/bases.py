@@ -226,20 +226,26 @@ def _basis_parts(spec):
     return step
 
 
-def enumerate_basis(spec, m, max_weight=None):
-    """The complete basis set with m parts, deterministic decreasing order.
-
-    One walk of the basis chains up to m parts; objects are built for the
-    m-part chains only.  ``max_weight`` prunes the walk to elements of
-    bounded weight.  The set is finite either way: the i-th smallest part
-    is at most i times the modulus, so no element weighs more than m^2
-    times the modulus.
-    """
+def _basis_walk(spec, m, max_weight=None):
+    """The walk of the basis chains of up to m parts and weight at most
+    max_weight.  The bound defaults to m^2 times the modulus, which loses
+    no m-part element: the i-th smallest part is at most i times the
+    modulus."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if max_weight is None:
         max_weight = m * m * spec.modulus
-    walk = _walk(spec, _basis_parts(spec), max_weight, m)
+    return _walk(spec, _basis_parts(spec), max_weight, m)
+
+
+def enumerate_basis(spec, m, max_weight=None):
+    """The complete basis set with m parts, deterministic decreasing order.
+
+    One walk of the basis chains up to m parts (``_basis_walk``); objects
+    are built for the m-part chains only.  ``max_weight`` prunes the walk
+    to elements of bounded weight.
+    """
+    walk = _basis_walk(spec, m, max_weight)
     chains = sorted((chain[::-1] for _, _, chain in walk if len(chain) == m),
                     key=lambda parts: [(-mag, o) for mag, o in parts])
     if spec.is_overpartition_class:
@@ -410,7 +416,7 @@ def basis_polys(spec, trunc):
     """Every marker-refined basis polynomial B_m, truncated, from one walk:
     a dict m -> Series over m >= 1, without the m that have no element of
     weight at most trunc."""
-    return {m: Series(trunc, spec.markers, None, terms)
+    return {m: Series(trunc, spec.markers, terms)
             for m, terms in _basis_terms(spec, trunc).items() if m}
 
 
@@ -418,8 +424,7 @@ def basis_gf(spec, m, trunc):
     """Marker-refined polynomial over the m-part basis, truncated."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return Series(trunc, spec.markers, None,
-                  _basis_terms(spec, trunc, m).get(m))
+    return Series(trunc, spec.markers, _basis_terms(spec, trunc, m).get(m))
 
 
 def residue_shift(spec_from, spec_to, p):

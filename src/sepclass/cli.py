@@ -15,10 +15,11 @@ import json
 import os
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
-from .bases import (DecompositionFailureError, Decomposition, decompose,
-                    enumerate_basis)
+from .bases import (DecompositionFailureError, Decomposition, _basis_walk,
+                    decompose, enumerate_basis)
 from .objects import (KIND_PARAMS, PARAM_NAMES, ClassSpec, KindMismatchError,
                       Overpartition, Partition, enumerate_members, refined_gf)
 from .series import Series
@@ -29,7 +30,8 @@ from .theorems import (VerificationReport, basis_driven_gf, check_identity,
 DEFAULT_MAX_TRUNC = 200
 
 # the oracle walk visits every member of weight at most N once, about
-# 2.5 us a member on one core of a 2-core VM; a longer walk is refused
+# 2.5 us a member on one core of a 2-core VM, and the basis walk of
+# ``basis`` about 1 us a chain; a longer walk of either is refused
 ORACLE_MAX_MEMBERS = 2_000_000
 
 
@@ -250,6 +252,18 @@ def _check_oracle_cost(spec, trunc):
     return closed
 
 
+def _check_basis_cost(spec, m, max_weight):
+    """Refuse a basis listing whose walk visits more than
+    ORACLE_MAX_MEMBERS chains.  The walk is counted first, without
+    building objects, and stops one past the limit."""
+    visited = sum(1 for _ in islice(_basis_walk(spec, m, max_weight),
+                                    ORACLE_MAX_MEMBERS + 1))
+    if visited > ORACLE_MAX_MEMBERS:
+        raise CliError(
+            f"the basis walk of {spec.label()} for --parts {m} would visit "
+            f"more than its limit of {ORACLE_MAX_MEMBERS} chains")
+
+
 def _parse_obj(text, spec):
     try:
         data = json.loads(text)
@@ -332,6 +346,7 @@ def _cmd_basis(args, out):
     _check_trunc(args, args.parts, "--parts")
     if args.max_weight is not None:
         _check_trunc(args, args.max_weight, "--max-weight")
+    _check_basis_cost(spec, args.parts, args.max_weight)
     elements = enumerate_basis(spec, args.parts, max_weight=args.max_weight)
     out.write(emit(args.format, elements))
     return 0

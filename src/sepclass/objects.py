@@ -547,4 +547,4 @@ def refined_gf(spec, trunc):
     else:
         keys = ((weight, marks) for weight, marks, _ in
                 _walk(spec, _next_parts(spec, trunc), trunc))
-    return Series(trunc, spec.markers, None, Counter(keys))
+    return Series(trunc, spec.markers, Counter(keys))

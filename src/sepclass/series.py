@@ -4,8 +4,8 @@ Coefficients are exact integers.  A series is stored by marker slices: a
 dict ``{marks: packed}`` from a tuple of marker exponents to one Python
 int that holds the q-polynomial of that slice by Kronecker substitution,
 W bits per coefficient, the coefficient of q^i in bits [W*i, W*(i+1)).
-Terms with q-exponent above the truncation order N, or a marker exponent
-above its cap (N unless given), are discarded.
+Terms with q-exponent or a marker exponent above the truncation order N
+are discarded.
 
 Packed form.  A slice is the residue of P(2^W) modulo M = 2^(W*(N+1)), a
 nonnegative int below M.  Multiplying by q^e is a shift by W*e bits,
@@ -16,9 +16,12 @@ Dividing by 1 - q^e is one product with the packed geometric series.
 These are ring operations modulo M, so digits may carry while a result
 is built; a series reads back exactly once its own coefficients lie in
 [-2^(W-1), 2^(W-1)).  Digits are read as signed values (``_unpack``).
-``terms``, ``sorted_terms()``, ``coefficient()`` and ``to_json_dict()``
-are the boundary: the unpacked ``{(q, marks): coeff}`` view is built once
-per series and cached.
+``terms``, ``sorted_terms()`` and ``to_json_dict()`` are the boundary:
+the unpacked ``{(q, marks): coeff}`` view is built once per series and
+cached; ``coefficient()`` decodes only the digits it reads.  This module
+is the only one that knows the layout: ``add_term`` and ``Series._packed``
+are how ``theorems`` builds series from packed polynomials, and
+``first_difference`` is the comparison.
 
 Digit width.  Write p(N) for the number of partitions of N, pbar(N) for
 the number of overpartitions, and A <= B for "coefficientwise at most".
@@ -52,7 +55,7 @@ from functools import lru_cache
 
 
 class ShapeMismatchError(ValueError):
-    """Two series with different truncation order, markers or caps."""
+    """Two series with different truncation order or markers."""
 
 
 # bits per coefficient for every series; None derives the width from the
@@ -169,18 +172,9 @@ def _unpack(x, width, trunc):
     return out
 
 
-def _digit(x, width, q):
-    """The signed coefficient of q^q in a packed residue."""
-    shift = width * q
-    d = (x >> shift) & ((1 << width) - 1)
-    if q:
-        d += (x >> (shift - 1)) & 1      # borrow of a negative lower part
-    return d - (1 << width) if d >> (width - 1) else d
-
-
-def _pack(pairs, width, mask):
-    """Packed residue of (exponent, coefficient) pairs."""
-    return sum(c << width * q for q, c in pairs) & mask
+def _pack(pairs, width):
+    """Packed int of (exponent, coefficient) pairs, not yet reduced."""
+    return sum(c << width * q for q, c in pairs)
 
 
 class Series:
@@ -189,33 +183,27 @@ class Series:
 
     ``markers`` is a tuple of variable names (e.g. ``("mu", "nu")``); each
     term key is ``(q_exp, marks)`` with ``marks`` a tuple of the same
-    length.  Marker caps default to the truncation order, which is always
-    enough here because every marked object contributes at least 1 to the
-    weight.  ``width`` is the digit width of ``slices`` and ``bound`` an
-    upper bound on the absolute value of every coefficient.
+    length.  Marker exponents are cut at the truncation order N, which
+    loses nothing here because every marked object contributes at least 1
+    to the weight.  ``width`` is the digit width of ``slices`` and
+    ``bound`` an upper bound on the absolute value of every coefficient.
+    The public constructor builds from terms; every series, whatever
+    builds it, comes out of ``_packed``.
     """
 
-    __slots__ = ("trunc", "markers", "caps", "width", "bound", "slices",
-                 "_terms")
+    __slots__ = ("trunc", "markers", "width", "bound", "slices", "_terms")
 
-    def __init__(self, trunc, markers=(), caps=None, terms=None):
+    def __new__(cls, trunc, markers=(), terms=None):
         if trunc < 0:
             raise ValueError("truncation order must be nonnegative")
         markers = tuple(markers)
-        if caps is None:
-            caps = (trunc,) * len(markers)
-        caps = tuple(caps)
-        if len(caps) != len(markers):
-            raise ValueError("one cap per marker required")
         by_marks = {}
         if terms:
             for (q, marks), coeff in terms.items():
                 marks = tuple(marks)
                 if len(marks) != len(markers):
                     raise ValueError("marker arity mismatch in term")
-                if coeff == 0 or q > trunc:
-                    continue
-                if any(m > c for m, c in zip(marks, caps)):
+                if coeff == 0 or q > trunc or any(m > trunc for m in marks):
                     continue
                 if q < 0 or any(m < 0 for m in marks):
                     raise ValueError("negative exponent in term")
@@ -223,73 +211,63 @@ class Series:
         bound = max((abs(c) for pairs in by_marks.values()
                      for _, c in pairs), default=0)
         width = _width(bound, trunc)
+        return cls._packed(trunc, markers,
+                           {marks: _pack(pairs, width)
+                            for marks, pairs in by_marks.items()},
+                           width, bound)
+
+    @classmethod
+    def _packed(cls, trunc, markers, slices, width=None, bound=None):
+        """The series of the given packed slices, each reduced modulo
+        2^(W(N+1)); the slices that reduce to zero are dropped.  ``width``
+        defaults to the library width of trunc (``packing``) and ``bound``
+        to B(trunc)."""
+        if width is None:
+            width = packing(trunc)[0]
+        if bound is None:
+            bound = _bounds(trunc)[2]
         mask = (1 << width * (trunc + 1)) - 1
-        slices = {}
-        for marks, pairs in by_marks.items():
-            packed = _pack(pairs, width, mask)
-            if packed:
-                slices[marks] = packed
-        self._set(trunc, markers, caps, width, bound, slices)
-
-    def _set(self, trunc, markers, caps, width, bound, slices):
-        self.trunc = trunc
-        self.markers = markers
-        self.caps = caps
-        self.width = width
-        self.bound = bound
-        self.slices = slices
-        self._terms = None
-
-    def _like(self, width, bound, slices):
-        """A series of this shape holding the given packed slices."""
-        out = object.__new__(Series)
-        out._set(self.trunc, self.markers, self.caps, width, bound, slices)
+        out = object.__new__(cls)
+        out.trunc = trunc
+        out.markers = tuple(markers)
+        out.width = width
+        out.bound = bound
+        out.slices = {marks: r for marks, x in slices.items()
+                      if (r := x & mask)}
+        out._terms = None
         return out
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc, markers=(), caps=None):
-        return cls(trunc, markers, caps)
+    def zero(cls, trunc, markers=()):
+        return cls(trunc, markers)
 
     @classmethod
-    def one(cls, trunc, markers=(), caps=None):
+    def one(cls, trunc, markers=()):
         m = (0,) * len(tuple(markers))
-        return cls(trunc, markers, caps, {(0, m): 1})
-
-    @classmethod
-    def from_slices(cls, trunc, markers, slices, bound=None):
-        """A series from slices packed at the library width of trunc (as
-        ``packing`` gives it); ``bound`` defaults to B(trunc)."""
-        markers = tuple(markers)
-        out = object.__new__(cls)
-        out._set(trunc, markers, (trunc,) * len(markers),
-                 packing(trunc)[0],
-                 _bounds(trunc)[2] if bound is None else bound,
-                 {marks: x for marks, x in slices.items() if x})
-        return out
+        return cls(trunc, markers, {(0, m): 1})
 
     def is_zero(self):
         return not self.slices
 
     def same_shape(self, other):
-        return (self.trunc == other.trunc and self.markers == other.markers
-                and self.caps == other.caps)
+        return self.trunc == other.trunc and self.markers == other.markers
 
     def _require_shape(self, other):
         if not self.same_shape(other):
             raise ShapeMismatchError(
-                f"shape mismatch: (N={self.trunc}, markers={self.markers}, "
-                f"caps={self.caps}) vs (N={other.trunc}, "
-                f"markers={other.markers}, caps={other.caps})")
+                f"shape mismatch: (N={self.trunc}, markers={self.markers}) "
+                f"vs (N={other.trunc}, markers={other.markers})")
 
-    def slices_at(self, width):
-        """The slices repacked at a digit width no smaller than needed."""
+    def _at(self, width):
+        """This series repacked at a digit width no smaller than needed."""
         if width == self.width:
-            return self.slices
-        mask = (1 << width * (self.trunc + 1)) - 1
-        return {marks: _pack(_unpack(x, self.width, self.trunc), width, mask)
-                for marks, x in self.slices.items()}
+            return self
+        return Series._packed(
+            self.trunc, self.markers,
+            {marks: _pack(_unpack(x, self.width, self.trunc), width)
+             for marks, x in self.slices.items()}, width, self.bound)
 
     def _width_for(self, bound, other=None):
         """Width of a result bounded by bound, no narrower than the
@@ -304,30 +282,22 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        if not self.same_shape(other):
-            return False
-        width = max(self.width, other.width)
-        return self.slices_at(width) == other.slices_at(width)
+        return self.same_shape(other) and \
+            first_difference([self, other]) is None
 
     def __add__(self, other):
         self._require_shape(other)
         bound = self.bound + other.bound
         width = self._width_for(bound, other)
-        mask = (1 << width * (self.trunc + 1)) - 1
-        slices = dict(self.slices_at(width))
-        for marks, x in other.slices_at(width).items():
-            total = (slices.get(marks, 0) + x) & mask
-            if total:
-                slices[marks] = total
-            else:
-                slices.pop(marks, None)
-        return self._like(width, bound, slices)
+        slices = dict(self._at(width).slices)
+        for marks, x in other._at(width).slices.items():
+            slices[marks] = slices.get(marks, 0) + x
+        return Series._packed(self.trunc, self.markers, slices, width, bound)
 
     def __neg__(self):
-        mask = (1 << self.width * (self.trunc + 1)) - 1
-        return self._like(self.width, self.bound,
-                          {marks: -x & mask
-                           for marks, x in self.slices.items()})
+        return Series._packed(self.trunc, self.markers,
+                              {marks: -x for marks, x in self.slices.items()},
+                              self.width, self.bound)
 
     def __sub__(self, other):
         return self + (-other)
@@ -337,32 +307,28 @@ class Series:
         if isinstance(other, int):
             bound = self.bound * abs(other)
             width = self._width_for(bound)
-            mask = (1 << width * (trunc + 1)) - 1
-            slices = {}
-            if other:
-                for marks, x in self.slices_at(width).items():
-                    slices[marks] = x * other & mask
-            return self._like(width, bound, slices)
+            return Series._packed(
+                trunc, self.markers,
+                {marks: x * other
+                 for marks, x in self._at(width).slices.items()},
+                width, bound)
         self._require_shape(other)
         # a coefficient of the product sums at most min(terms) products
         count = min(sum(_span(x, self.width) for x in self.slices.values()),
                     sum(_span(x, other.width) for x in other.slices.values()))
         bound = self.bound * other.bound * count
         width = self._width_for(bound, other)
-        mask = (1 << width * (trunc + 1)) - 1
-        caps = self.caps
         slices = {}
-        right = other.slices_at(width).items()
-        for m1, x1 in self.slices_at(width).items():
+        right = other._at(width).slices.items()
+        for m1, x1 in self._at(width).slices.items():
             for m2, x2 in right:
                 marks = tuple(a + b for a, b in zip(m1, m2))
-                if any(m > c for m, c in zip(marks, caps)):
+                if any(m > trunc for m in marks):
                     continue
                 prod = mul_packed(x1, x2, width, trunc)
                 if prod:
                     slices[marks] = slices.get(marks, 0) + prod
-        slices = {marks: x & mask for marks, x in slices.items() if x & mask}
-        return self._like(width, bound, slices)
+        return Series._packed(trunc, self.markers, slices, width, bound)
 
     __rmul__ = __mul__
 
@@ -381,29 +347,25 @@ class Series:
             raise ValueError("negative exponent in divisor")
         if q_exp == 0 and not any(marks):
             raise ValueError("non-unit divisor required (zero exponents)")
-        trunc, caps = self.trunc, self.caps
+        trunc = self.trunc
         # the largest power of the divisor's monomial inside the bounds
-        steps = [trunc // q_exp] if q_exp else []
-        steps += [c // m for m, c in zip(marks, caps) if m]
-        top = min(steps)
+        top = trunc // max((q_exp, *marks))
         bound = self.bound * (top + 1)
         width = self._width_for(bound)
-        mask = (1 << width * (trunc + 1)) - 1
         if not any(marks):
             geom = _geometric(q_exp, width, trunc)
             slices = {ms: mul_packed(x, geom, width, trunc)
-                      for ms, x in self.slices_at(width).items()}
+                      for ms, x in self._at(width).slices.items()}
         else:
             slices = {}
-            for ms, x in self.slices_at(width).items():
+            for ms, x in self._at(width).slices.items():
                 for j in range(top + 1):
                     mm = tuple(a + j * b for a, b in zip(ms, marks))
-                    if any(m > c for m, c in zip(mm, caps)):
+                    if any(m > trunc for m in mm):
                         break
                     slices[mm] = slices.get(mm, 0) + \
                         (x << width * j * q_exp)
-        slices = {ms: x & mask for ms, x in slices.items() if x & mask}
-        return self._like(width, bound, slices)
+        return Series._packed(trunc, self.markers, slices, width, bound)
 
     # -- queries -------------------------------------------------------------
 
@@ -420,25 +382,29 @@ class Series:
         return self._terms
 
     def coefficient(self, q_exp, marks=None):
-        """Coefficient of one term, or the sum over all marks if marks is None."""
+        """Coefficient of one term, or the sum over all marks if marks is
+        None."""
         if not 0 <= q_exp <= self.trunc:
             return 0
-        if marks is not None:
-            x = self.slices.get(tuple(marks), 0)
-            return _digit(x, self.width, q_exp) if x else 0
-        return sum(_digit(x, self.width, q_exp)
-                   for x in self.slices.values())
+        width = self.width
+        slices = self.slices.values() if marks is None \
+            else [self.slices.get(tuple(marks), 0)]
+        # decode digit q_exp and the one below, which decides the borrow
+        # into it; no lower digit matters
+        lo = max(q_exp - 1, 0)
+        at = q_exp - lo
+        keep = (1 << width * (at + 1)) - 1
+        return sum(c for x in slices
+                   for q, c in _unpack(x >> width * lo & keep, width, at)
+                   if q == at)
 
     def collapse_markers(self):
         """Forget the markers, producing the plain counting series."""
         bound = self.bound * max(len(self.slices), 1)
         width = self._width_for(bound)
-        mask = (1 << width * (self.trunc + 1)) - 1
-        total = sum(self.slices_at(width).values()) & mask
-        out = object.__new__(Series)
-        out._set(self.trunc, (), (), width, bound,
-                 {(): total} if total else {})
-        return out
+        return Series._packed(self.trunc, (),
+                              {(): sum(self._at(width).slices.values())},
+                              width, bound)
 
     def sorted_terms(self):
         # without a cached view, unpack straight into the sorted list
@@ -448,10 +414,11 @@ class Series:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self):
+        # every marker exponent is cut at N; "caps" records that
         return {
             "trunc": self.trunc,
             "markers": list(self.markers),
-            "caps": list(self.caps),
+            "caps": [self.trunc] * len(self.markers),
             "terms": [
                 {"q": q, "marks": list(marks), "coeff": str(coeff)}
                 for (q, marks), coeff in self.sorted_terms()
@@ -464,8 +431,7 @@ class Series:
             (t["q"], tuple(t["marks"])): int(t["coeff"])
             for t in data["terms"]
         }
-        return cls(data["trunc"], tuple(data["markers"]),
-                   tuple(data.get("caps") or ()) or None, terms)
+        return cls(data["trunc"], tuple(data["markers"]), terms)
 
     def __repr__(self):
         if not self.slices:
@@ -488,20 +454,49 @@ class Series:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-def monomial(q_exp, marks, coeff, trunc, markers=(), caps=None):
-    """A one-term series; terms past the truncation bounds give zero."""
-    marks = tuple(marks)
-    markers = tuple(markers)
-    if len(marks) != len(markers):
-        raise ValueError("marks length must equal marker count")
-    return Series(trunc, markers, caps, {(q_exp, marks): coeff})
+def first_difference(series):
+    """The least key (q, marks) at which two of the given series differ,
+    or None when all agree.  The series must share one shape.  They are
+    compared slice by slice at the widest of their digit widths, where the
+    lowest set bit of ``a ^ b`` lies in the first digit at which two
+    packed slices differ."""
+    for s in series[1:]:
+        series[0]._require_shape(s)
+    width = max(s.width for s in series)
+    slices = [s._at(width).slices for s in series]
+    first = None
+    for marks in set().union(*slices):
+        head, *rest = (sl.get(marks, 0) for sl in slices)
+        for other in rest:
+            diff = head ^ other
+            if diff:
+                key = (_low_digit(diff, width), marks)
+                if first is None or key < first:
+                    first = key
+    return first
+
+
+def monomial(q_exp, marks, coeff, trunc, markers=()):
+    """A one-term series; terms past the truncation order give zero."""
+    return Series(trunc, markers, {(q_exp, tuple(marks)): coeff})
+
+
+def add_term(total, marks, e, f, g, trunc):
+    """Add q^e * f * g to ``total[marks]``, where f and g are polynomials
+    packed at the library width of trunc: their product truncated after
+    q^(trunc - e), shifted up e digits.  ``total`` holds packed slices
+    that ``Series._packed`` reduces."""
+    width, _ = packing(trunc)
+    prod = mul_packed(f, g, width, trunc - e)
+    if prod:
+        total[marks] = total.get(marks, 0) + (prod << width * e)
 
 
 def _wrap(packed, trunc, markers, bound):
     """A library polynomial in q alone as a series with markers."""
     markers = tuple(markers)
-    return Series.from_slices(trunc, markers,
-                              {(0,) * len(markers): packed}, bound)
+    return Series._packed(trunc, markers, {(0,) * len(markers): packed},
+                          None, bound)
 
 
 # -- packed q-machinery ------------------------------------------------------

@@ -30,8 +30,9 @@ from importlib import resources
 
 from .bases import basis_polys
 from .objects import ClassSpec, refined_gf
-from .series import (Series, g_packed, g_poly, gauss_packed, gaussian,
-                     inv_pochhammer, monomial, mul_packed, packing)
+from .series import (Series, add_term, first_difference, g_packed, g_poly,
+                     gauss_packed, gaussian, gaussian_by_division,
+                     inv_pochhammer, monomial)
 
 # ---------------------------------------------------------------------------
 # reports
@@ -67,27 +68,11 @@ class VerificationReport:
 def compare_routes(named_series, subject, trunc, started=None):
     """Build a report from named series of one shape; the first
     discrepancy is the lexicographically least (q, marks) key where any
-    two routes differ.
-
-    The series are compared slice by slice at the widest of their digit
-    widths: the lowest set bit of ``a ^ b`` gives the first digit where
-    two packed slices differ.
+    two routes differ (``series.first_difference``).
     """
     names = tuple(named_series)
     series = list(named_series.values())
-    for s in series[1:]:
-        series[0]._require_shape(s)
-    width = max(s.width for s in series)
-    slices = [s.slices_at(width) for s in series]
-    disc = None
-    for marks in set().union(*slices):
-        head, *rest = (sl.get(marks, 0) for sl in slices)
-        for other in rest:
-            diff = head ^ other
-            if diff:
-                q = ((diff & -diff).bit_length() - 1) // width
-                if disc is None or (q, marks) < disc:
-                    disc = (q, marks)
+    disc = first_difference(series)
     if disc is not None:
         q, marks = disc
         disc = {"q": q, "marks": list(marks),
@@ -116,26 +101,23 @@ def _assemble(poly, spec, trunc):
     """
     k = spec.modulus
     min_part = 1 if spec.is_overpartition_class else spec.a
-    width, mask = packing(trunc)
     out = {(0,) * len(spec.markers): 1}
     for m in range(1, trunc // min_part + 1):
         inverse = inv_pochhammer(k, m, trunc)
         for marks, b in poly(spec, m, trunc).items():
-            out[marks] = out.get(marks, 0) + \
-                mul_packed(b, inverse, width, trunc)
-    return Series.from_slices(
-        trunc, spec.markers, {marks: x & mask for marks, x in out.items()})
+            add_term(out, marks, 0, b, inverse, trunc)
+    return Series._packed(trunc, spec.markers, out)
 
 
 def basis_driven_gf(spec, trunc):
     """The basis route: every m-part basis polynomial, tallied from one
     walk of the basis chains (``basis_polys``), through the separability
-    assembly."""
+    assembly.  A tally is packed at the library width already: its counts
+    are at most pbar(N) (``series`` docstring)."""
     polys = basis_polys(spec, trunc)
-    width, _ = packing(trunc)
     return _assemble(
-        lambda spec, m, trunc: polys[m].slices_at(width) if m in polys
-        else {}, spec, trunc)
+        lambda spec, m, trunc: polys[m].slices if m in polys else {},
+        spec, trunc)
 
 
 def closed_form_gf(spec, trunc, theorem_id=None):
@@ -176,8 +158,8 @@ def basis_closed_form(formula_id, spec, m, trunc, s=None):
         raise ValueError(f"{formula_id} applies to {kind}, not {spec.kind}")
     if s is not None and not spec.is_overpartition_class:
         raise ValueError(f"{formula_id} has no per-s slice")
-    return Series.from_slices(trunc, spec.markers,
-                              _closed_slices(formula_id, spec, m, trunc, s))
+    return Series._packed(trunc, spec.markers,
+                          _closed_slices(formula_id, spec, m, trunc, s))
 
 
 def _closed_slices(formula_id, spec, m, trunc, s=None):
@@ -190,20 +172,9 @@ def _closed_slices(formula_id, spec, m, trunc, s=None):
 
 
 # The lemma bodies below return B_m (or its per-s slice) as packed marker
-# slices {marks: int} at the library width of trunc; a term
-# q^e * marks * F * G is added as the product of F and G truncated after
-# q^(trunc - e), shifted up by e digits.
-
-def _add_term(total, marks, e, f, g, trunc):
-    width, _ = packing(trunc)
-    prod = mul_packed(f, g, width, trunc - e)
-    if prod:
-        total[marks] = total.get(marks, 0) + (prod << width * e)
-
-
-def _masked(total, trunc):
-    _, mask = packing(trunc)
-    return {marks: x & mask for marks, x in total.items() if x & mask}
+# slices {marks: int} at the library width of trunc, each term
+# q^e * marks * F * G added by ``series.add_term``; the slices are reduced
+# where they become a series.
 
 
 def _over_total(fn, spec, m, trunc):
@@ -244,11 +215,11 @@ def _p_basis(spec, m, trunc, slices):
                 if e > trunc:
                     continue
                 marks = (x, y) if spec.kind == "P" else (y, x)
-                _add_term(total, marks, e,
-                          gauss_packed(x + row, s + col, k, trunc),
-                          g_packed(k, r, h, s, trunc, trunc - e) if s else 1,
-                          trunc)
-    return _masked(total, trunc)
+                add_term(total, marks, e,
+                         gauss_packed(x + row, s + col, k, trunc),
+                         g_packed(k, r, h, s, trunc, trunc - e) if s else 1,
+                         trunc)
+    return total
 
 
 def _br_total(spec, m, trunc):
@@ -263,36 +234,36 @@ def _br_total(spec, m, trunc):
                 break
             left = gauss_packed(h + s, s, k, trunc) if spec.kind == "R" \
                 else g_packed(k, spec.r, h, s + 1, trunc, trunc - e)
-            _add_term(total, (m - h - s, h, s), e, left,
-                      gauss_packed(m - h, s, k, trunc), trunc)
-    return _masked(total, trunc)
+            add_term(total, (m - h - s, h, s), e, left,
+                     gauss_packed(m - h, s, k, trunc), trunc)
+    return total
 
 
 def _bf_over_ms(spec, m, s, trunc):
     total = {}
     e = m + s * s - s
     if e <= trunc:
-        _add_term(total, (s,), e, 1, gauss_packed(m - s + 1, s, 1, trunc),
-                  trunc)
-    return _masked(total, trunc)
+        add_term(total, (s,), e, 1, gauss_packed(m - s + 1, s, 1, trunc),
+                 trunc)
+    return total
 
 
 def _bf_run_ms(spec, m, s, trunc):
     total = {}
     e = m + (s * s - s) // 2
     if e <= trunc:
-        _add_term(total, (s,), e, 1,
-                  g_packed(1, spec.r, m - s, s + 1, trunc, trunc - e), trunc)
-    return _masked(total, trunc)
+        add_term(total, (s,), e, 1,
+                 g_packed(1, spec.r, m - s, s + 1, trunc, trunc - e), trunc)
+    return total
 
 
 def _bl_over_ms(spec, m, s, trunc):
     total = {}
     for e, col in ((m + (s - 1) ** 2, s - 1), (m + s * s, s)):
         if e <= trunc:
-            _add_term(total, (s,), e, 1,
-                      gauss_packed(m - s, col, 1, trunc), trunc)
-    return _masked(total, trunc)
+            add_term(total, (s,), e, 1,
+                     gauss_packed(m - s, col, 1, trunc), trunc)
+    return total
 
 
 def _bl_run_ms(spec, m, s, trunc, literal=False):
@@ -302,17 +273,17 @@ def _bl_run_ms(spec, m, s, trunc, literal=False):
     total = {}
     if s == 0:
         if m <= r - 1 and m <= trunc:
-            _add_term(total, (0,), m, 1, 1, trunc)
-        return _masked(total, trunc)
+            add_term(total, (0,), m, 1, 1, trunc)
+        return total
     extra = (s * s - s) // 2 + (m if literal else 0)
     # (exponent, h) of the j = 0 term, then of j = 1 .. r-1 (zero for h < 0)
     terms = [(m + extra, m - s)] + \
         [(2 * m - j + extra, m - j - s) for j in range(1, min(r, m - s + 1))]
     for e, h in terms:
         if e <= trunc:
-            _add_term(total, (s,), e, 1,
-                      g_packed(1, r, h, s, trunc, trunc - e), trunc)
-    return _masked(total, trunc)
+            add_term(total, (s,), e, 1,
+                     g_packed(1, r, h, s, trunc, trunc - e), trunc)
+    return total
 
 
 # (row, col, cx, cy, cs) slices of _p_basis; the smallest part of the
@@ -400,33 +371,27 @@ def check_identity(identity_id, params, trunc):
     elif identity_id == "g-vs-enumeration":
         d, k, r, h, s = p["d"], p["k"], p["r"], p["h"], p["s"]
         gspec = ClassSpec("Gset", d=d, k=k, r=r, h=h, s=s)
-        closed = monomial(h * d, (), 1, trunc) * g_poly(k, r, h, s, trunc) \
-            if h * d <= trunc else Series.zero(trunc)
+        closed = monomial(h * d, (), 1, trunc) * g_poly(k, r, h, s, trunc)
         sides = {"closed": closed, "enumeration": refined_gf(gspec, trunc)}
     elif identity_id == "g-binomial-r2":
         d, k, h, s = p["d"], p["k"], p["h"], p["s"]
         gspec = ClassSpec("Gset", d=d, k=k, r=2, h=h, s=s)
         e = h * d + k * (h * h - h) // 2
-        closed = monomial(e, (), 1, trunc) * gaussian(s, h, k, trunc) \
-            if e <= trunc else Series.zero(trunc)
+        closed = monomial(e, (), 1, trunc) * gaussian(s, h, k, trunc)
         sides = {"closed": closed, "enumeration": refined_gf(gspec, trunc)}
     elif identity_id == "g-closed-r2":
         k, h, s = p["k"], p["h"], p["s"]
         e = k * (h * h - h) // 2
-        rhs = monomial(e, (), 1, trunc) * gaussian(s, h, k, trunc) \
-            if e <= trunc else Series.zero(trunc)
+        rhs = monomial(e, (), 1, trunc) * gaussian(s, h, k, trunc)
         sides = {"sum": g_poly(k, 2, h, s, trunc), "binomial": rhs}
     elif identity_id == "qbinom-recurrence":
         A, B, k = p["A"], p["B"], p["k"]
         lhs = gaussian(A, B, k, trunc)
-        rhs = gaussian(A - 1, B, k, trunc)
-        shift = k * (A - B)
-        if shift <= trunc:
-            rhs = rhs + monomial(shift, (), 1, trunc) * \
-                gaussian(A - 1, B - 1, k, trunc)
+        rhs = gaussian(A - 1, B, k, trunc) + \
+            monomial(k * (A - B), (), 1, trunc) * \
+            gaussian(A - 1, B - 1, k, trunc)
         sides = {"binomial": lhs, "recurrence": rhs}
     elif identity_id == "gaussian-division":
-        from .series import gaussian_by_division
         A, B, k = p["A"], p["B"], p["k"]
         sides = {"recurrence": gaussian(A, B, k, trunc),
                  "division": gaussian_by_division(A, B, k, trunc)}

@@ -7,7 +7,7 @@ import pytest
 
 from sepclass import (ClassSpec, Series, basis_driven_gf, closed_form_gf,
                       enumerate_members, load_grid, refined_gf, verify)
-from sepclass import cli, theorems
+from sepclass import bases, cli, theorems
 from sepclass.cli import (golden_dir, golden_path, read_golden, run,
                           write_golden)
 
@@ -93,6 +93,25 @@ class TestBasis:
         assert out.splitlines() == [
             "(" + ",".join(["1"] * 1100) + ")",
             "(" + ",".join(["1"] * 1099) + ",1~)"]
+
+    def test_basis_walk_limit_is_inclusive(self, monkeypatch):
+        chains = sum(1 for _ in bases._basis_walk(ClassSpec("Fbar"), 4))
+        monkeypatch.setattr(cli, "ORACLE_MAX_MEMBERS", chains)
+        assert len(ok(["basis", "--class", "Fbar", "--parts", "4"])
+                   .splitlines()) == 8
+        monkeypatch.setattr(cli, "ORACLE_MAX_MEMBERS", chains - 1)
+        code, out, err = run(["basis", "--class", "Fbar", "--parts", "4"])
+        assert code == 2
+        assert out == b""
+        assert f"Fbar for --parts 4 would visit more than its limit of " \
+            f"{chains - 1} chains".encode() in err
+
+    def test_long_basis_walk_refused(self):
+        code, out, err = run(["basis", "--class", "Fbar", "--parts", "40"])
+        assert code == 2
+        assert out == b""
+        assert f"Fbar for --parts 40 would visit more than its limit of " \
+            f"{cli.ORACLE_MAX_MEMBERS} chains".encode() in err
 
     def test_gset_has_no_basis(self):
         code, _, err = run(["basis", "--class", "Gset", "--d", "1", "--k",

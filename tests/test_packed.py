@@ -71,7 +71,7 @@ class TestAgainstDictReference:
     def test_add_and_mul(self, case):
         trunc, markers, ta, tb = case
         caps = (trunc,) * len(markers)
-        a, b = (Series(trunc, markers, None, t) for t in (ta, tb))
+        a, b = (Series(trunc, markers, t) for t in (ta, tb))
         ra, rb = (ref_clean(t, trunc, caps) for t in (ta, tb))
         assert a.terms == ra
         assert (a + b).terms == ref_add(ra, rb)
@@ -87,7 +87,7 @@ class TestAgainstDictReference:
         marks = tuple(data.draw(st.integers(0, 2)) for _ in markers)
         if e == 0 and not any(marks):
             e = 1
-        a = Series(trunc, markers, None, ta)
+        a = Series(trunc, markers, ta)
         want = ref_div_one_minus(ref_clean(ta, trunc, caps), e, marks,
                                  trunc, caps)
         assert a.div_one_minus(e, marks).terms == want
@@ -98,7 +98,7 @@ class TestAgainstDictReference:
     @given(series_pair())
     def test_first_discrepancy(self, case):
         trunc, markers, ta, tb = case
-        a, b = (Series(trunc, markers, None, t) for t in (ta, tb))
+        a, b = (Series(trunc, markers, t) for t in (ta, tb))
         report = compare_routes({"a": a, "b": b}, {}, trunc)
         keys = sorted(k for k in set(a.terms) | set(b.terms)
                       if a.terms.get(k, 0) != b.terms.get(k, 0))
@@ -136,7 +136,7 @@ class TestWidth:
         assert Series.one(10).div_one_minus(10 ** 6) == Series.one(10)
 
     def test_large_coefficients_widen(self):
-        big = Series(10, (), None, {(q, ()): 10 ** 20 for q in range(11)})
+        big = Series(10, (), {(q, ()): 10 ** 20 for q in range(11)})
         square = big * big
         assert square.width > big.width
         assert square.terms == {(q, ()): (q + 1) * 10 ** 40
@@ -167,7 +167,7 @@ class TestWidth:
 
     def test_fixed_width_refuses_arithmetic(self, monkeypatch):
         monkeypatch.setattr(series_module, "_WIDTH", 16)
-        small = Series(10, (), None, {(q, ()): 100 for q in range(11)})
+        small = Series(10, (), {(q, ()): 100 for q in range(11)})
         assert (small * 3).coefficient(10) == 300
         with pytest.raises(OverflowError):
             small * small                   # up to 100 * 100 * 11

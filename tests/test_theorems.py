@@ -196,8 +196,8 @@ class TestVerify:
         assert data["elapsed_ms"] >= 0
 
     def test_mismatch_report_pinpoints(self):
-        a = Series(5, (), None, {(0, ()): 1, (3, ()): 2})
-        b = Series(5, (), None, {(0, ()): 1, (3, ()): 5})
+        a = Series(5, (), {(0, ()): 1, (3, ()): 2})
+        b = Series(5, (), {(0, ()): 1, (3, ()): 5})
         report = compare_routes({"left": a, "right": b}, {"x": 1}, 5)
         assert report.status == "mismatch"
         assert report.first_discrepancy == {
