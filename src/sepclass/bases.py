@@ -8,23 +8,24 @@ partition classes, arbitrary nonnegative for the overpartition classes).
 search ``brute_force_decompositions`` is the independent oracle that
 certifies uniqueness in the tests.
 
-The basis is enumerated by the oracle's depth-first driver
-(``objects._walk``) with its own step, ``_basis_parts``, which grows a
-chain from its smallest part upward and checks each basis clause as the
-new part decides it.  Every clause relates adjacent parts, so every
-bottom prefix of a basis element is one: ``basis_polys`` tallies every
-B_m from one walk, and ``enumerate_basis`` builds objects at m parts
-only.  ``is_basis_member`` is the independent filter both are tested
-against.
+The basis definition is written once as its own step, ``_basis_parts``,
+which grows a chain from its smallest part upward and checks each basis
+clause as the new part decides it.  Every clause relates adjacent parts,
+so every bottom prefix of a basis element is one.  The oracle's two
+drivers run it: ``basis_polys`` and ``basis_gf`` count with the
+transfer-matrix sweep (``objects._sweep``), whose layer m is B_m, and
+``enumerate_basis`` builds objects at m parts only with the depth-first
+walk (``objects._walk``).  ``is_basis_member`` is the independent filter
+both are tested against, and the walk is the reference the sweep is
+tested against.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .objects import (FIRST, KindMismatchError, Overpartition,
-                      Partition, _walk, is_member)
+                      Partition, _sweep, _walk, is_member)
 from .series import Series
 
 
@@ -154,7 +155,8 @@ def _is_over_basis(spec, obj):
 # ---------------------------------------------------------------------------
 
 def _basis_parts(spec):
-    """The basis clauses as one bottom-up step of ``objects._walk``.
+    """The basis clauses as one bottom-up step of ``objects._walk`` and
+    ``objects._sweep``.
 
     A basis chain grows from its smallest part upward, so ``prev`` is the
     part the new one sits directly above (0 for none yet) and ``room``
@@ -182,8 +184,9 @@ def _basis_parts(spec):
                     mag = prev + 1
                 else:
                     mag = prev
-                new_run = 0 if over else run + 1
-                # Fr/Lr: r-1 plain parts in a row force an overline above
+                # Fr/Lr: r-1 plain parts in a row force an overline above;
+                # Fbar/Lbar bound no run, so every part leaves run 0 there
+                new_run = 0 if over or bars_apart else run + 1
                 if mag <= room and (bars_apart or new_run < spec.r):
                     out.append((mag, over, new_run, 0 if over else None))
             return out
@@ -399,32 +402,22 @@ def _padding_ok(padding, k):
 # basis generating functions and residue shifts
 # ---------------------------------------------------------------------------
 
-def _basis_terms(spec, trunc, parts=None):
-    """{m: {(weight, marks): count}} over the basis elements of weight at
-    most trunc, tallied from one walk of the basis chains (m = 0 is the
-    empty chain)."""
-    walk = _walk(spec, _basis_parts(spec), trunc, parts)
-    tally = Counter((len(chain), weight, marks)
-                    for weight, marks, chain in walk)
-    by_m = {}
-    for (m, weight, marks), count in tally.items():
-        by_m.setdefault(m, {})[weight, marks] = count
-    return by_m
-
-
 def basis_polys(spec, trunc):
-    """Every marker-refined basis polynomial B_m, truncated, from one walk:
-    a dict m -> Series over m >= 1, without the m that have no element of
-    weight at most trunc."""
-    return {m: Series(trunc, spec.markers, terms)
-            for m, terms in _basis_terms(spec, trunc).items() if m}
+    """Every marker-refined basis polynomial B_m, truncated, from one
+    sweep of the basis chains: a dict m -> Series over m >= 1, without the
+    m that have no element of weight at most trunc."""
+    return {m: Series.tally(trunc, spec.markers, layer) for m, layer in
+            enumerate(_sweep(spec, _basis_parts(spec), trunc), 1)}
 
 
 def basis_gf(spec, m, trunc):
-    """Marker-refined polynomial over the m-part basis, truncated."""
+    """Marker-refined polynomial over the m-part basis, truncated: layer m
+    of a sweep stopped after m layers."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return Series(trunc, spec.markers, _basis_terms(spec, trunc, m).get(m))
+    layers = list(_sweep(spec, _basis_parts(spec), trunc, m))
+    return Series.tally(trunc, spec.markers,
+                        layers[-1] if len(layers) == m else {})
 
 
 def residue_shift(spec_from, spec_to, p):

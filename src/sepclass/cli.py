@@ -29,9 +29,10 @@ from .theorems import (VerificationReport, basis_driven_gf, check_identity,
 
 DEFAULT_MAX_TRUNC = 200
 
-# the oracle walk visits every member of weight at most N once, about
-# 2.5 us a member on one core of a 2-core VM, and the basis walk of
-# ``basis`` about 1 us a chain; a longer walk of either is refused
+# ``list`` walks every member of weight at most N once, about 2.5 us a
+# member on one core of a 2-core VM, and ``basis`` walks its chains at
+# about 1 us a chain; a longer walk of either is refused.  The counting
+# routes (count, series, verify) sweep states instead and are not limited
 ORACLE_MAX_MEMBERS = 2_000_000
 
 
@@ -92,6 +93,12 @@ def _to_plain(payload):
         line = f"{head} {_subject_label(payload)} N={payload.trunc} " \
                f"routes={','.join(payload.routes)} " \
                f"elapsed={payload.elapsed * 1000:.1f}ms"
+        if payload.route_elapsed is not None:
+            line += " route_ms=" + ",".join(
+                f"{name}:{s * 1000:.1f}"
+                for name, s in payload.route_elapsed.items())
+            line += " terms=" + ",".join(
+                f"{name}:{n}" for name, n in payload.route_terms.items())
         if payload.first_discrepancy:
             line += f" first_discrepancy={payload.first_discrepancy}"
         return line
@@ -233,23 +240,18 @@ def _check_trunc(args, value, flag="--trunc"):
 
 
 def _check_oracle_cost(spec, trunc):
-    """Refuse an oracle walk over more than ORACLE_MAX_MEMBERS members.
-
-    The closed route counts them first: its series summed over every
-    weight up to trunc and every marker.  Returns that series, or None
-    for a Gset, which is tallied from its own finite enumeration, not the
-    walk.
-    """
+    """Refuse a listing whose oracle walk visits more than
+    ORACLE_MAX_MEMBERS members.  The oracle's sweep counts them first:
+    its series summed over every weight up to trunc and every marker.  A
+    Gset is listed from its own finite enumeration, not the walk."""
     if spec.kind == "Gset":
-        return None
-    closed = closed_form_gf(spec, trunc)
-    members = sum(closed.collapse_markers().terms.values())
+        return
+    members = sum(refined_gf(spec, trunc).collapse_markers().terms.values())
     if members > ORACLE_MAX_MEMBERS:
         raise CliError(
             f"the oracle would visit {members} members of {spec.label()} "
             f"of weight <= {trunc}, more than its limit of "
             f"{ORACLE_MAX_MEMBERS}")
-    return closed
 
 
 def _check_basis_cost(spec, m, max_weight):
@@ -325,7 +327,6 @@ def read_golden(spec, trunc, root=None):
 def _cmd_count(args, out):
     spec = _spec_from_args(args)
     _check_trunc(args, args.n, "--n")
-    _check_oracle_cost(spec, args.n)
     # the oracle's tally at weight n, summed over the markers; no objects
     out.write(emit(args.format, refined_gf(spec, args.n).coefficient(args.n)))
     return 0
@@ -355,8 +356,6 @@ def _cmd_basis(args, out):
 def _cmd_series(args, out):
     spec = _spec_from_args(args)
     _check_trunc(args, args.trunc)
-    if args.route == "oracle":
-        _check_oracle_cost(spec, args.trunc)
     route = {"oracle": refined_gf, "basis": basis_driven_gf,
              "closed": closed_form_gf}[args.route]
     out.write(emit(args.format, route(spec, args.trunc)))
@@ -386,14 +385,12 @@ def _cmd_verify(args, out):
             trunc = args.trunc
         _check_trunc(args, trunc)
         jobs = [(spec, trunc) for spec in specs]
-    # the closed series that priced each oracle walk is its closed route
-    closed = [_check_oracle_cost(spec, n) for spec, n in jobs]
     reports = []
     all_match = True
-    for (spec, n), closed_series in zip(jobs, closed):
+    for spec, n in jobs:
         started = time.perf_counter()
-        routes = three_routes(spec, n, closed_series)
-        report = compare_routes(routes, spec, n, started)
+        routes, elapsed = three_routes(spec, n)
+        report = compare_routes(routes, spec, n, started, elapsed)
         reports.append(report)
         all_match = all_match and report.matched
         if args.bless and report.matched:

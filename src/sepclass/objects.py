@@ -1,17 +1,27 @@
 """Partitions, overpartitions, class parameter records, membership tests,
-exhaustive enumeration and brute-force refined generating functions.
+exhaustive enumeration and the oracle refined generating functions.
 
 Eight restricted classes are supported (four on partitions, four on
 overpartitions) plus the auxiliary bounded-multiplicity sets used by the
 closed-form machinery.
 
-The oracle (``refined_gf``, ``enumerate_members``) is one pruned
-depth-first walk over non-increasing part sequences (``_walk``).  Every
-class clause constrains adjacent parts only, so every prefix of a member
-is a member and one walk up to weight N reaches every member of weight at
-most N.  It reads only the class definitions; ``is_member`` with
-``all_partitions``/``all_overpartitions`` is the independent filter it is
-tested against.
+The oracle reads only the class definitions, written once as the step
+``_next_parts``: the parts that may follow a non-increasing part sequence,
+given its last part, that part's overline and its trailing restricted
+run.  Every class clause constrains adjacent parts only, so every prefix
+of a member is a member.  Two drivers run the step:
+
+- ``refined_gf`` counts with ``_sweep``, a transfer-matrix sweep layer by
+  layer in the part count: the members that end in the same (part,
+  overline, run) state have the same futures, so each state carries one
+  packed tally and moves as a whole.  Its cost grows with the number of
+  states, not of members.
+- ``enumerate_members`` builds objects with ``_walk``, a pruned
+  depth-first walk that visits every member of weight at most N once.
+
+``is_member`` with ``all_partitions``/``all_overpartitions`` is the
+independent filter both are tested against, and the walk is the
+reference the sweep is tested against.
 
 Terminology note: the run restrictions are deliberately asymmetric and are
 implemented exactly as defined per class.  P/Pprime forbid r+1 consecutive
@@ -25,7 +35,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
-from .series import Series
+from .series import Series, shift_into
 
 FIRST = "first"
 LAST = "last"
@@ -342,11 +352,12 @@ def is_member(spec, obj):
 # ---------------------------------------------------------------------------
 
 def _next_parts(spec, cap):
-    """The class clauses as one step of the walk.
+    """The class clauses as one step of the walk and the sweep.
 
-    Returns the ``step(prev, prev_over, run, room)`` of ``_walk``: the
-    parts that may follow a member whose last part is ``prev`` (0 for the
-    empty member), of magnitude at most ``room`` and never above ``prev``.
+    Returns the ``step(prev, prev_over, run, room)`` of ``_walk`` and
+    ``_sweep``: the parts that may follow a member whose last part is
+    ``prev`` (0 for the empty member), of magnitude at most ``room`` and
+    never above ``prev``.
     Entries come in walk order: larger magnitudes first, and for
     overpartitions the plain copy of a magnitude before the overlined one,
     so among members of one weight the walk's pre-order is the decreasing
@@ -356,16 +367,18 @@ def _next_parts(spec, cap):
     if spec.is_overpartition_class:
         first = spec.convention == FIRST
         bars_apart = kind in ("Fbar", "Lbar")
-        # Fr/Lr: fewer than r consecutive non-overlined parts; for Fbar/Lbar
-        # a run never exceeds cap parts, so the bound never binds
-        run_cap = spec.r - 1 if kind in ("Fr", "Lr") else cap
+        # Fr/Lr: fewer than r consecutive non-overlined parts; Fbar/Lbar
+        # bound no run, so a plain part leaves run 0 there, as in R
+        run_cap = spec.r - 1 if kind in ("Fr", "Lr") else None
 
         def step(prev, prev_over, run, room):
             out = []
             for v in range(min(room, prev) if prev else room, 0, -1):
                 if prev_over and v == prev and not first:
                     continue    # last: the overlined copy ends its magnitude
-                if run < run_cap:
+                if run_cap is None:
+                    out.append((v, False, 0, None))
+                elif run < run_cap:
                     out.append((v, False, run + 1, None))
                 if not (first and v == prev) and \
                         not (bars_apart and prev_over):
@@ -451,6 +464,37 @@ def _walk(spec, step, cap, parts=None):
             push(depth + 1, weight, marks, step(v, over, run, room))
 
 
+def _sweep(spec, step, trunc, parts=None):
+    """Transfer-matrix form of ``_walk`` (Stanley, EC1 4.7): the tally of
+    the sequences of weight <= trunc, layer by layer in the part count.
+
+    ``step`` reads only the state ``(prev, prev_over, run)`` of a sequence,
+    so the sequences that share a state move together.  A layer maps each
+    state to the packed tally ``{marks: int}`` of its sequences (see
+    ``series``), and one call of the step moves a whole tally to each
+    child state ``(v, overlined, run)``: shifted up by q^v, with the
+    child's marker raised (``series.shift_into``).  The step gets room =
+    trunc; a sequence that outgrows trunc drops out of the packed tally,
+    and a state with nothing left is dropped.  Yields the tally of layer
+    m = 1, 2, ... summed over its states, up to ``parts`` layers or the
+    first empty one.
+    """
+    layer = {(0, False, 0): {(0,) * len(spec.markers): 1}}
+    for _ in range(trunc if parts is None else parts):
+        children = {}
+        for state, tally in layer.items():
+            for v, over, run, mark in step(*state, trunc):
+                shift_into(children.setdefault((v, over, run), {}), tally,
+                           v, mark, trunc)
+        layer = {state: tally for state, tally in children.items() if tally}
+        if not layer:
+            return
+        total = Counter()
+        for tally in layer.values():
+            total.update(tally)
+        yield total
+
+
 def all_partitions(n, max_part=None):
     """All partitions of n in lexicographically decreasing order."""
     out = []
@@ -533,18 +577,19 @@ def enumerate_g(spec):
 
 
 def refined_gf(spec, trunc):
-    """Brute-force refined generating function: sum over all members of
-    weight at most trunc of marker-monomial times q^weight.
+    """Oracle refined generating function: sum over all members of weight
+    at most trunc of marker-monomial times q^weight.
 
-    Since every prefix of a member is a member, one ``_walk`` up to trunc
-    visits all of them; it tallies (weight, marks) at each node and builds
-    no objects.  A Gset has exactly h parts, so its members are tallied
-    from ``enumerate_g`` instead.
+    Since every prefix of a member is a member, the sweep of the class
+    clauses (``_sweep`` with ``_next_parts``) reaches all of them: the
+    empty member plus every layer.  It counts members per state and
+    builds no objects.  A Gset has exactly h parts, so its members are
+    tallied from ``enumerate_g`` instead.
     """
     if spec.kind == "Gset":
-        keys = ((p.weight, ()) for p in enumerate_g(spec)
-                if p.weight <= trunc)
-    else:
-        keys = ((weight, marks) for weight, marks, _ in
-                _walk(spec, _next_parts(spec, trunc), trunc))
-    return Series(trunc, spec.markers, Counter(keys))
+        return Series(trunc, spec.markers, Counter(
+            (p.weight, ()) for p in enumerate_g(spec) if p.weight <= trunc))
+    total = Counter({(0,) * len(spec.markers): 1})
+    for layer in _sweep(spec, _next_parts(spec, trunc), trunc):
+        total.update(layer)
+    return Series.tally(trunc, spec.markers, total)

@@ -20,8 +20,10 @@ is built; a series reads back exactly once its own coefficients lie in
 the unpacked ``{(q, marks): coeff}`` view is built once per series and
 cached; ``coefficient()`` decodes only the digits it reads.  This module
 is the only one that knows the layout: ``add_term`` and ``Series._packed``
-are how ``theorems`` builds series from packed polynomials, and
-``first_difference`` is the comparison.
+are how ``theorems`` builds series from packed polynomials,
+``shift_into`` and ``Series.tally`` are how the oracle and basis sweeps
+move and wrap their packed tallies, and ``first_difference`` is the
+comparison.
 
 Digit width.  Write p(N) for the number of partitions of N, pbar(N) for
 the number of overpartitions, and A <= B for "coefficientwise at most".
@@ -240,6 +242,13 @@ class Series:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
+    def tally(cls, trunc, markers, slices):
+        """The series of packed slices at the library width of trunc that
+        count distinct objects, each coefficient at most pbar(N) (point 5
+        of the module docstring)."""
+        return cls._packed(trunc, markers, slices, None, _bounds(trunc)[1])
+
+    @classmethod
     def zero(cls, trunc, markers=()):
         return cls(trunc, markers)
 
@@ -381,6 +390,22 @@ class Series:
             self._terms = dict(self._pairs())
         return self._terms
 
+    def term_count(self):
+        """Number of nonzero terms, counted without unpacking.  Every
+        coefficient lies strictly inside +-2^(W-1) (the width bound), so
+        adding 2^(W-1) to every digit leaves W-bit lanes with no carry
+        between them, and a lane's low W-1 bits are zero exactly when its
+        digit is."""
+        width = self.width
+        mask = (1 << width * (self.trunc + 1)) - 1
+        ones = mask // ((1 << width) - 1)       # 1 in every lane
+        high = ones << (width - 1)              # the top bit of every lane
+        low = high - ones                       # the other bits
+        # adding ``low`` to the low bits carries into the top bit of
+        # exactly the nonzero lanes
+        return sum(((((x + high) & low) + low) & high).bit_count()
+                   for x in self.slices.values())
+
     def coefficient(self, q_exp, marks=None):
         """Coefficient of one term, or the sum over all marks if marks is
         None."""
@@ -490,6 +515,23 @@ def add_term(total, marks, e, f, g, trunc):
     prod = mul_packed(f, g, width, trunc - e)
     if prod:
         total[marks] = total.get(marks, 0) + (prod << width * e)
+
+
+def shift_into(total, slices, e, mark, trunc):
+    """Add q^e times the packed marker slices ``slices`` into ``total``,
+    each with marker exponent ``mark`` raised by one (None raises none).
+    Both hold polynomials packed at the library width of trunc; terms past
+    q^trunc are dropped, and a slice with no term left adds nothing.  The
+    slices must be nonnegative, as tallies are, so the sums need no
+    further reduction."""
+    width, mask = packing(trunc)
+    shift = width * e
+    for marks, x in slices.items():
+        x = (x << shift) & mask
+        if x:
+            if mark is not None:
+                marks = marks[:mark] + (marks[mark] + 1,) + marks[mark + 1:]
+            total[marks] = total.get(marks, 0) + x
 
 
 def _wrap(packed, trunc, markers, bound):

@@ -2,15 +2,17 @@
 and three-route coefficient-by-coefficient verification.
 
 Every class admits three series routes:
-  oracle  - brute-force enumeration of members,
-  basis   - the m-part basis polynomials B_m, tallied from one walk of
+  oracle  - the members counted straight from the class definition, by
+            one transfer-matrix sweep of the class clauses
+            (``refined_gf``),
+  basis   - the m-part basis polynomials B_m, counted by one sweep of
             the basis chains (``basis_polys``), fed through the
             separability assembly 1 + sum_m B_m / (q^k; q^k)_m,
   closed  - the lemma-level closed forms of B_m (``basis_closed_form``)
             fed through that same assembly.
 The basis and closed routes share the assembly; only B_m differs, and the
 lemma multi-sums that give it in the closed route share no code with the
-basis walk.  ``verify`` compares all three term by term.
+basis sweep.  ``verify`` compares all three term by term.
 
 Erratum: the printed closed form for the last-occurrence bounded-run class
 carries a stray q^m factor on its overlined terms (the prefactor q^m is
@@ -47,6 +49,9 @@ class VerificationReport:
     status: str                 # "match" | "mismatch"
     first_discrepancy: dict | None
     elapsed: float
+    # per route: seconds to build its series, and its number of terms
+    route_elapsed: dict | None = None
+    route_terms: dict | None = None
 
     @property
     def matched(self):
@@ -55,7 +60,7 @@ class VerificationReport:
     def to_json_dict(self):
         subject = (self.subject.to_json_dict()
                    if isinstance(self.subject, ClassSpec) else self.subject)
-        return {
+        out = {
             "spec": subject,
             "N": self.trunc,
             "routes": list(self.routes),
@@ -63,12 +68,21 @@ class VerificationReport:
             "first_discrepancy": self.first_discrepancy,
             "elapsed_ms": round(self.elapsed * 1000, 3),
         }
+        if self.route_elapsed is not None:
+            out["route_elapsed_ms"] = {
+                name: round(s * 1000, 3)
+                for name, s in self.route_elapsed.items()}
+            out["route_terms"] = dict(self.route_terms)
+        return out
 
 
-def compare_routes(named_series, subject, trunc, started=None):
+def compare_routes(named_series, subject, trunc, started=None,
+                   route_elapsed=None):
     """Build a report from named series of one shape; the first
     discrepancy is the lexicographically least (q, marks) key where any
-    two routes differ (``series.first_difference``).
+    two routes differ (``series.first_difference``).  ``route_elapsed``
+    gives the seconds each route took (``three_routes``); the report then
+    also counts the terms of each series.
     """
     names = tuple(named_series)
     series = list(named_series.values())
@@ -79,9 +93,12 @@ def compare_routes(named_series, subject, trunc, started=None):
                 "coeffs": {name: str(s.coefficient(q, marks))
                            for name, s in zip(names, series)}}
     elapsed = (time.perf_counter() - started) if started else 0.0
+    terms = None if route_elapsed is None else \
+        {name: s.term_count() for name, s in named_series.items()}
     return VerificationReport(
         subject, trunc, names,
-        "match" if disc is None else "mismatch", disc, elapsed)
+        "match" if disc is None else "mismatch", disc, elapsed,
+        route_elapsed, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +127,8 @@ def _assemble(poly, spec, trunc):
 
 
 def basis_driven_gf(spec, trunc):
-    """The basis route: every m-part basis polynomial, tallied from one
-    walk of the basis chains (``basis_polys``), through the separability
+    """The basis route: every m-part basis polynomial, counted by one
+    sweep of the basis chains (``basis_polys``), through the separability
     assembly.  A tally is packed at the library width already: its counts
     are at most pbar(N) (``series`` docstring)."""
     polys = basis_polys(spec, trunc)
@@ -400,21 +417,23 @@ def check_identity(identity_id, params, trunc):
     return compare_routes(sides, subject, trunc, started)
 
 
-def three_routes(spec, trunc, closed=None):
-    """The series of the three routes, keyed oracle, basis, closed; a
-    closed series already computed for (spec, trunc) can be passed in."""
-    return {
-        "oracle": refined_gf(spec, trunc),
-        "basis": basis_driven_gf(spec, trunc),
-        "closed": closed if closed is not None
-        else closed_form_gf(spec, trunc),
-    }
+def three_routes(spec, trunc):
+    """The series of the three routes, keyed oracle, basis, closed, and
+    the seconds each took, under the same keys."""
+    routes, elapsed = {}, {}
+    for name, route in (("oracle", refined_gf), ("basis", basis_driven_gf),
+                        ("closed", closed_form_gf)):
+        started = time.perf_counter()
+        routes[name] = route(spec, trunc)
+        elapsed[name] = time.perf_counter() - started
+    return routes, elapsed
 
 
 def verify(spec, trunc):
     """Three-route check: oracle vs basis-driven vs closed form."""
     started = time.perf_counter()
-    return compare_routes(three_routes(spec, trunc), spec, trunc, started)
+    routes, elapsed = three_routes(spec, trunc)
+    return compare_routes(routes, spec, trunc, started, elapsed)
 
 
 # ---------------------------------------------------------------------------

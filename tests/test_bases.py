@@ -12,6 +12,7 @@ from sepclass import (ClassSpec, KindMismatchError, NotAMemberError,
                       basis_gf, brute_force_decompositions, decompose,
                       enumerate_basis, enumerate_members, is_basis_member,
                       is_member, load_grid, reconstruct, residue_shift)
+from sepclass import bases, objects
 
 GRID_SPECS = load_grid()[1]
 
@@ -288,3 +289,29 @@ class TestBasisWalkAgainstFilter:
             tally = Counter((u.weight, spec.marker_exponents(u))
                             for u in _filtered_basis(spec, m, 12))
             assert basis_gf(spec, m, 12).terms == tally
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=str)
+class TestBasisSweepAgainstWalk:
+    """The basis sweep against a tally of the depth-first basis walk, on
+    every grid spec at N=25."""
+
+    @staticmethod
+    def walk_tally(spec, trunc, parts=None):
+        """{m: {(weight, marks): count}} of the basis chains."""
+        walk = objects._walk(spec, bases._basis_parts(spec), trunc, parts)
+        by_m = {}
+        for weight, marks, chain in walk:
+            if chain:
+                by_m.setdefault(len(chain), Counter())[weight, marks] += 1
+        return by_m
+
+    def test_basis_polys_equal_walk_tally(self, spec):
+        polys = bases.basis_polys(spec, 25)
+        assert {m: poly.terms for m, poly in polys.items()} == \
+            self.walk_tally(spec, 25)
+
+    def test_basis_gf_equals_walk_tally(self, spec):
+        for m in range(1, 7):
+            assert basis_gf(spec, m, 25).terms == \
+                self.walk_tally(spec, 25, m).get(m, {})

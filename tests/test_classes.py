@@ -6,8 +6,10 @@ import pytest
 
 from conftest import P, op, op_set
 from sepclass import (ClassSpec, KindMismatchError, Overpartition, Partition,
-                      all_overpartitions, all_partitions, enumerate_g,
-                      enumerate_members, is_member, load_grid, refined_gf)
+                      all_overpartitions, all_partitions, closed_form_gf,
+                      enumerate_g, enumerate_members, is_member, load_grid,
+                      refined_gf)
+from sepclass import objects
 
 GRID_SPECS = load_grid()[1]
 
@@ -274,6 +276,20 @@ class TestWalkAgainstFilter:
     def test_enumerate_members_in_filter_order(self, spec):
         for n in range(11):
             assert enumerate_members(spec, n) == _filtered_universe(spec, n)
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=str)
+def test_sweep_equals_walk_tally(spec):
+    """The oracle's transfer-matrix sweep against a tally of the pruned
+    depth-first walk, on every grid spec at N=30."""
+    walk = objects._walk(spec, objects._next_parts(spec, 30), 30)
+    tally = Counter((weight, marks) for weight, marks, _ in walk)
+    assert refined_gf(spec, 30).terms == tally
+
+
+def test_sweep_reaches_high_order():
+    spec = ClassSpec("Fbar")
+    assert refined_gf(spec, 200) == closed_form_gf(spec, 200)
 
 
 def Series_one(spec):

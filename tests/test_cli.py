@@ -151,19 +151,32 @@ class TestSeries:
 
 
 class TestOracleCost:
-    @pytest.mark.parametrize("argv,members", [
-        (["count", "--class", "Fbar", "--n", "200"], 25928021918162330),
-        (["list", *P_ARGS, "--n", "80"], 11817428),
-        (["series", "--class", "Fbar", "--route", "oracle", "--trunc", "60"],
-         186462203),
-        (["verify", "--class", "R", "--a", "1", "--b", "2", "--c", "3",
-          "--k", "3", "--trunc", "70"], 5893620),
-        (["verify", "--trunc", "60"], 2334602)])
-    def test_long_walks_refused(self, argv, members):
-        code, out, err = run(argv)
+    def test_long_listing_refused(self):
+        code, out, err = run(["list", *P_ARGS, "--n", "80"])
         assert code == 2
         assert out == b""
-        assert f"would visit {members} members".encode() in err
+        assert b"would visit 11817428 members" in err
+
+    def test_count_not_limited(self):
+        # 25928021918162330 members of weight <= 200, counted by the sweep
+        count = int(ok(["count", "--class", "Fbar", "--n", "200"]))
+        assert count == closed_form_gf(ClassSpec("Fbar"), 200) \
+            .coefficient(200)
+
+    def test_oracle_series_not_limited(self):
+        out = ok(["series", "--class", "Fbar", "--route", "oracle",
+                  "--trunc", "60", "--format", "json"])
+        assert Series.from_json_dict(json.loads(out)) == \
+            closed_form_gf(ClassSpec("Fbar"), 60)
+
+    @pytest.mark.parametrize("argv", [
+        ["--class", "R", "--a", "1", "--b", "2", "--c", "3", "--k", "3",
+         "--trunc", "70"],
+        ["--trunc", "60"]], ids=["R_a1_b2_c3_k3", "grid"])
+    def test_verify_not_limited(self, argv):
+        data = json.loads(ok(["verify", *argv, "--format", "json"]))
+        reports = data if isinstance(data, list) else [data]
+        assert [r["status"] for r in reports] == ["match"] * len(reports)
 
     def test_other_routes_not_limited(self):
         ok(["series", "--class", "Fbar", "--route", "closed",
@@ -173,9 +186,9 @@ class TestOracleCost:
         members = sum(closed_form_gf(ClassSpec("P", a=1, b=2, k=2, r=1),
                                      7).terms.values())
         monkeypatch.setattr(cli, "ORACLE_MAX_MEMBERS", members)
-        assert ok(["count", *P_ARGS, "--n", "7"]).strip() == "11"
+        assert len(ok(["list", *P_ARGS, "--n", "7"]).splitlines()) == 11
         monkeypatch.setattr(cli, "ORACLE_MAX_MEMBERS", members - 1)
-        code, _, err = run(["count", *P_ARGS, "--n", "7"])
+        code, _, err = run(["list", *P_ARGS, "--n", "7"])
         assert code == 2
         assert f"would visit {members} members".encode() in err
 
@@ -262,6 +275,17 @@ class TestVerifyCmd:
         data = json.loads(out)
         assert data["status"] == "match"
         assert data["routes"] == ["oracle", "basis", "closed"]
+
+    def test_report_gives_route_time_and_terms(self):
+        terms = len(refined_gf(ClassSpec("Fbar"), 8).terms)
+        data = json.loads(ok(["verify", "--class", "Fbar", "--trunc", "8",
+                              "--format", "json"]))
+        assert list(data["route_elapsed_ms"]) == data["routes"]
+        assert all(ms >= 0 for ms in data["route_elapsed_ms"].values())
+        assert data["route_terms"] == dict.fromkeys(data["routes"], terms)
+        line = ok(["verify", "--class", "Fbar", "--trunc", "8"])
+        assert " route_ms=oracle:" in line
+        assert f" terms=oracle:{terms},basis:{terms},closed:{terms}" in line
 
     def test_custom_grid(self, tmp_path):
         grid = tmp_path / "grid.json"
@@ -360,6 +384,7 @@ class TestGolden:
         report = json.loads(out)
         expected = verify(ClassSpec("Fbar"), 8).to_json_dict()
         del report["elapsed_ms"], expected["elapsed_ms"]
+        del report["route_elapsed_ms"], expected["route_elapsed_ms"]
         assert report == expected
 
     def test_default_dir_is_the_checkout_corpus(self, tmp_path,

@@ -94,6 +94,14 @@ class TestAgainstDictReference:
         if not any(marks):          # pure-q: one product per slice
             assert a.div_one_minus(e).terms == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(series_pair())
+    def test_term_count(self, case):
+        trunc, markers, ta, tb = case
+        a, b = (Series(trunc, markers, t) for t in (ta, tb))
+        for s in (a, a - b, a * b):
+            assert s.term_count() == len(s.terms)
+
     @settings(max_examples=100, deadline=None)
     @given(series_pair())
     def test_first_discrepancy(self, case):

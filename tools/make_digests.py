@@ -5,7 +5,7 @@ Each entry holds the SHA-256 of the canonical serialization of
 ``Series.to_json_dict()`` (``json.dumps(..., sort_keys=True,
 separators=(",", ":"))``, UTF-8), the number of terms and the total
 coefficient at q^N (summed over the markers).  ``tests/test_digests.py``
-checks the closed route against the file.
+checks all three routes against the file.
 
 Run from the checkout root:
 
